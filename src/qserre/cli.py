@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from qserre.exprparse import ParseError, parse_expression
 from qserre.rewrite import base_rules, chi_e_rules, complete, dump_rules, load_rules, normal_word_counts
@@ -92,10 +91,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_rules(path):
+    """Load a dumped rule set; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return load_rules(fh.read())
+    except (OSError, ValueError, KeyError) as err:
+        raise ConfigError("cannot load rules from %s: %s" % (path, err)) from None
+
+
 def _load_or_complete(args, want_chi_e=False):
     if args.rules:
-        with open(args.rules) as fh:
-            return load_rules(fh.read())
+        return _read_rules(args.rules)
     degree = args.completion_degree if args.completion_degree is not None else 8
     raw = chi_e_rules(args.rank) if want_chi_e else base_rules(args.rank)
     return complete(raw, degree)
@@ -184,7 +191,7 @@ def _min_rank(suite: str) -> int:
 
 
 def suite_jobs(suite: str, args, verifier: Verifier):
-    """Closures producing reports; independent and safe to run concurrently."""
+    """Closures producing reports, independent of each other."""
     rank = args.rank
     jobs = []
     if rank < _min_rank(suite):
@@ -274,8 +281,7 @@ def cmd_verify(args) -> int:
 
     loaded = None
     if args.rules:
-        with open(args.rules) as fh:
-            loaded = load_rules(fh.read())
+        loaded = _read_rules(args.rules)
         if loaded.completed_degree < needed:
             raise ConfigError("loaded rules certified to degree %d, "
                               "but the requested checks need %d"
@@ -291,20 +297,20 @@ def cmd_verify(args) -> int:
     needs_rules = [s for s in suites
                    if s not in ("telescoping", "ratio", "chie")]
     if needs_rules:
-        verifier.rules  # completion is single-threaded; do it before dispatch
         _maybe_dump(args, verifier.rules)
 
     jobs = []
     for s in suites:
         jobs.extend(suite_jobs(s, args, verifier))
 
+    # one after another: the checks are pure Python, so threads only wait
     reports = []
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for result in pool.map(lambda job: job(), jobs):
-            if isinstance(result, VerificationReport):
-                reports.append(result)
-            else:
-                reports.extend(result)
+    for job in jobs:
+        result = job()
+        if isinstance(result, VerificationReport):
+            reports.append(result)
+        else:
+            reports.extend(result)
     reports.sort(key=VerificationReport.sort_key)
 
     failed = [r for r in reports if not r.passed]

@@ -8,8 +8,11 @@ a finite linear-algebra question over Q(s).
 All defining relations preserve the multiset of letters in a word, so
 each homogeneous component splits further into multidegree blocks that
 are decided separately; the elimination never sees more than a few
-hundred columns.  A randomized evaluation at rational points filters
-clear non-members before any exact elimination runs.
+hundred columns.  Elimination is fraction-free over Z[s]: coefficients
+stay integer polynomials, with no Q(s) division.  A randomized
+evaluation at rational points can reject clear non-members cheaply; the
+verifiers run it before the exact elimination only while membership is
+still open, not after rewriting has reduced the input to zero.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd as _int_gcd
 
 from qserre.freealg import Alphabet, NcPoly
-from qserre.qfield import ONE
+from qserre.qfield import (
+    _content as _int_content, _pdivmod_exact, _pgcd, _pmul, _pneg,
+    _primitive, _psub,
+)
 
 
 @dataclass(frozen=True)
@@ -76,29 +82,50 @@ def _perm_count(content):
 
 
 class _Echelon:
-    """Row space with unit leading coefficients, pivoted by largest word."""
+    """Fraction-free row space over Z[s], pivoted by largest word.
+
+    Rows are dicts word -> integer polynomial (a coefficient tuple in s),
+    each divided by its polynomial and integer content.  An input vector
+    of QRat entries is scaled once by the lcm of its denominators; each
+    reduction step then cross-multiplies by the two leading entries over
+    their gcd (Bareiss-style), so no field element is formed.  Scaling a
+    row by a nonzero factor leaves the row space, hence rank and
+    membership, unchanged.
+    """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots = {}  # leading word -> dict word -> coeff
+        self.pivots = {}  # leading word -> dict word -> coefficient tuple
 
     def residue(self, vec):
-        vec = dict(vec)
+        """Reduced multiple of vec over Z[s]; its lead word, or None if zero."""
+        vec = _strip_content(_clear_denominators(vec))
         pivots = self.pivots
         while vec:
             lead = max(vec)
             row = pivots.get(lead)
             if row is None:
                 return vec, lead
-            c = vec[lead]
+            a, b = vec[lead], row[lead]
+            g = _pgcd(a, b)
+            if len(g) > 1:
+                a, b = _pdivmod_exact(a, g), _pdivmod_exact(b, g)
+            k = _int_gcd(_int_content(a), _int_content(b))
+            if k != 1:
+                a, b = tuple(c // k for c in a), tuple(c // k for c in b)
+            # vec <- b * vec - a * row, which cancels the lead word
+            if b != (1,):
+                vec = {w: _pmul(b, v) for w, v in vec.items()}
             for w, rc in row.items():
+                t = _pmul(a, rc)
                 v = vec.get(w)
-                v = -(c * rc) if v is None else v - c * rc
+                v = _pneg(t) if v is None else _psub(v, t)
                 if v:
                     vec[w] = v
                 elif w in vec:
                     del vec[w]
+            vec = _strip_content(vec)
         return vec, None
 
     def insert(self, vec) -> bool:
@@ -106,14 +133,50 @@ class _Echelon:
         res, lead = self.residue(vec)
         if lead is None:
             return False
-        lc = res[lead]
-        inv = ONE / lc
-        self.pivots[lead] = {w: inv * c for w, c in res.items()}
+        self.pivots[lead] = res
         return True
 
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _clear_denominators(vec):
+    """word -> QRat as word -> integer polynomial, scaled by the lcm of dens."""
+    lcm = (1,)
+    for c in vec.values():
+        d = c.den.coeffs
+        if d != (1,) and d != lcm:
+            g = _pgcd(lcm, d)
+            lcm = _pmul(lcm, _pdivmod_exact(d, g) if len(g) > 1 else d)
+    if lcm == (1,):
+        return {w: c.num.coeffs for w, c in vec.items()}
+    return {w: _pmul(c.num.coeffs, _pdivmod_exact(lcm, c.den.coeffs))
+            for w, c in vec.items()}
+
+
+def _strip_content(vec):
+    """Divide an integer-polynomial vector by its polynomial, then integer, content."""
+    if not vec:
+        return vec
+    # start from the shortest entry: a constant ends the search at once
+    g = min(vec.values(), key=len)
+    for v in vec.values():
+        if len(g) == 1:
+            break
+        if v is not g:
+            g = _pgcd(g, v)
+    if len(g) > 1:
+        g = _primitive(g)
+        vec = {w: _pdivmod_exact(v, g) for w, v in vec.items()}
+    k = 0
+    for v in vec.values():
+        k = _int_gcd(k, _int_content(v))
+        if k == 1:
+            return vec
+    if k > 1:
+        vec = {w: tuple(c // k for c in v) for w, v in vec.items()}
+    return vec
 
 
 class IdealOracle:

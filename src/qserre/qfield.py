@@ -123,15 +123,30 @@ def _prem(a, b):
     return _trim(rem)
 
 
+def _order(a):
+    """Lowest exponent with a nonzero coefficient; a must be nonzero."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+
+
 def _pgcd(a, b):
-    """gcd of primitive parts, primitive PRS, positive leading coeff."""
-    if a == (1,) or b == (1,):
-        return (1,)
-    a, b = _primitive(a), _primitive(b)
+    """gcd of primitive parts, primitive PRS, positive leading coeff.
+
+    A constant operand gives 1 and a monomial c*s^k gives s^min(k, ord)
+    without any PRS step; most gcds in the oracle and in QRat are one of
+    these.
+    """
     if not a:
-        return b
+        return _primitive(b)
     if not b:
-        return a
+        return _primitive(a)
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    ka, kb = _order(a), _order(b)
+    if ka == len(a) - 1 or kb == len(b) - 1:
+        return (0,) * min(ka, kb) + (1,)
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:

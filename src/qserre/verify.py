@@ -102,6 +102,11 @@ class Verifier:
         membership only when it covered every slice, but any non-member
         slice it finds is a definite refutation.  Contradictory definite
         verdicts mean the engine is broken and raise.
+
+        The randomized precheck, which can only reject, runs before the
+        oracle unless rewriting has already proved membership; the exact
+        oracle then runs on every checkable slice either way, so a
+        rewriting bug still surfaces as a disagreement.
         """
         t0 = time.perf_counter()
         notes = list(notes)
@@ -136,8 +141,11 @@ class Verifier:
                 low_part = NcPoly(diff.alphabet,
                                   {w: c for s in checkable
                                    for w, c in s.vector.terms.items()})
-                if randomized_precheck(low_part, self.relations,
-                                       self.precheck_points, self.seed):
+                # a zero reduction proved membership: the precheck could only
+                # pass, and the exact oracle below still cross-checks it
+                if in_ideal or randomized_precheck(
+                        low_part, self.relations, self.precheck_points,
+                        self.seed):
                     ok = all(self.oracle.slice_member(s) for s in checkable)
                 else:
                     ok = False
@@ -302,8 +310,9 @@ class ChiEVerifier:
                 self._oracle = IdealOracle(self.alphabet, self.relations)
             slices = split_homogeneous(diff)
             if all(s.degree <= self.oracle_cap for s in slices):
-                if randomized_precheck(diff, self.relations,
-                                       self.precheck_points, self.seed):
+                if in_ideal or randomized_precheck(
+                        diff, self.relations, self.precheck_points,
+                        self.seed):
                     ok = all(self._oracle.slice_member(s) for s in slices)
                 else:
                     ok = False

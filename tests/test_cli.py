@@ -263,3 +263,25 @@ def test_verify_with_loaded_rules(tmp_path, capsys):
     # loaded certification must cover what the suite needs
     code, _, err = run(capsys, "verify", "qq", "--rules", str(path))
     assert code == 2 and "certified to degree" in err
+
+
+def test_missing_rules_file_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "absent.txt")
+    for argv in (("verify", "central"), ("normal-form", "x1"), ("hilbert",)):
+        code, out, err = run(capsys, *argv, "--rules", path)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "absent.txt" in err
+
+
+def test_malformed_rules_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("x2 x1 -> x1 x2\n")  # no alphabet header
+    for argv in (("verify", "central"), ("normal-form", "x1")):
+        code, out, err = run(capsys, *argv, "--rules", str(path))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "no alphabet header" in err
+    path.write_text("# alphabet: x:2\nx2 y1 -> x1 x2\n")  # unknown letter
+    code, _, err = run(capsys, "verify", "central", "--rules", str(path))
+    assert code == 2 and err.startswith("error: ")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qserre.qfield import ONE, Q, QRat
-from qserre.freealg import NcPoly, serre_relations, x_alphabet
+from qserre.freealg import NcPoly, chi_e_alphabet, chi_e_relations, serre_relations, x_alphabet
 from qserre.oracle import (
     IdealOracle, ideal_member, random_points, randomized_precheck, split_homogeneous,
 )
@@ -124,3 +124,37 @@ def test_oracle_rejects_non_multihomogeneous_relations():
     x1, x2 = gens(A2)
     with pytest.raises(ValueError):
         IdealOracle(A2, [x1 * x2 - x1 * x1])
+
+
+# -- fraction-free elimination: same row spaces as the field elimination -------
+
+def test_quotient_dimensions_rank3_degree6():
+    oracle = IdealOracle(A3, RELS3)
+    assert oracle.quotient_dimensions(6) == [1, 3, 8, 17, 33, 58, 97]
+
+
+def test_chi_e_blocks_rank2():
+    a = chi_e_alphabet(2)
+    oracle = IdealOracle(a, chi_e_relations(a))
+    assert oracle.quotient_dimensions(5) == [1, 4, 11, 24, 46, 80]
+    ranks = {(1, 1, 1, 1): 22, (1, 1, 0, 2): 11, (0, 2, 2, 0): 5,
+             (0, 0, 1, 3): 2, (2, 1, 1, 0): 11, (0, 0, 2, 2): 3}
+    for content, rank in ranks.items():
+        assert oracle._block(content).rank == rank, content
+
+
+def test_echelon_rows_are_integer_polynomials():
+    oracle = IdealOracle(A3, RELS3)
+    ech = oracle._block((1, 2, 1))
+    assert ech.rank
+    for row in ech.pivots.values():
+        for coeffs in row.values():
+            assert isinstance(coeffs, tuple) and coeffs
+            assert all(isinstance(c, int) for c in coeffs)
+    # rational coefficients are cleared before elimination; over 1 + q one
+    # entry of the scaled relation loses its denominator and the others not
+    x1, x2 = gens(A2)
+    rel = RELS2[0].scale(QRat(1, (1, 0, 1)))
+    assert len({c.den for c in rel.terms.values()}) == 2
+    assert ideal_member(rel, RELS2, 8).member
+    assert not ideal_member(rel + (x1 * x2 * x1).scale(QRat(2, 3)), RELS2, 8).member

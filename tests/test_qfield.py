@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qserre.qfield import ONE, Q, QPoly, QRat, S, ZERO, q_power, qrat_arith, qrat_eval, s_power
+from qserre.qfield import ONE, Q, QPoly, QRat, S, ZERO, _pgcd, q_power, qrat_arith, qrat_eval, s_power
 
 
 def test_normalization_cancels_common_factor():
@@ -136,3 +137,70 @@ def test_arith_dispatch():
     assert qrat_arith(ONE, Q, "div") == ONE / Q
     with pytest.raises(ValueError):
         qrat_arith(Q, Q, "pow")
+
+
+# -- gcd fast paths against a textbook primitive PRS ---------------------------
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_primitive(cs):
+    cs = _ref_trim(cs)
+    if not cs:
+        return []
+    g = 0
+    for c in cs:
+        g = math.gcd(g, c)
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_gcd(a, b):
+    """gcd of the primitive parts by primitive PRS, positive leading coefficient."""
+    a, b = _ref_primitive(a), _ref_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            lead = r[-1]
+            shift = len(r) - len(b)
+            r = [c * b[-1] for c in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= lead * y
+            r = _ref_trim(r)
+        a, b = b, _ref_primitive(r)
+    return tuple(a)
+
+
+nonzero = st.integers(min_value=-9, max_value=9).filter(bool)
+constants = st.builds(lambda c: (c,), nonzero)
+monomials = st.builds(lambda k, c: (0,) * k + (c,),
+                      st.integers(min_value=0, max_value=6), nonzero)
+general = st.builds(lambda cs, c: tuple(cs) + (c,),
+                    st.lists(small, min_size=0, max_size=6), nonzero)
+operands = st.one_of(constants, monomials, general)
+
+
+@given(operands, operands, general)
+def test_pgcd_matches_reference_prs(a, b, common):
+    assert _pgcd(a, b) == _ref_gcd(a, b)
+    # with a shared factor the general path must find it
+    ac, bc = tuple(_ref_mul(a, common)), tuple(_ref_mul(b, common))
+    assert _pgcd(ac, bc) == _ref_gcd(ac, bc)
+

@@ -1,5 +1,6 @@
 import pytest
 
+import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, q_power
 from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
 from qserre.verify import (
@@ -262,3 +263,55 @@ def test_mutant_lemma_exponent_choice_fails(v2):
     lhs = (qproduct(v2.alphabet, "x1", w) * qproduct(v2.alphabet, "x2", w))
     wrong = lemma_product(v2.alphabet, w, "mu")
     assert not v2.rules.reduce(lhs - wrong).is_zero
+
+
+# -- the precheck runs only while membership is still open ----------------------
+
+@pytest.fixture
+def precheck_calls(monkeypatch):
+    calls = []
+    real = verify_module.randomized_precheck
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "randomized_precheck", counting)
+    return calls
+
+
+def test_no_precheck_after_rewrite_proves_membership(v2, precheck_calls):
+    r = v2.decide("probe", (("case", "member"),), v2.relations[0])
+    assert r.passed and r.methods == ("rewrite", "oracle")
+    assert precheck_calls == []
+
+
+def test_precheck_runs_for_non_member(v2, precheck_calls):
+    x1 = NcPoly.generator(v2.alphabet, "x1")
+    r = v2.decide("probe", (("case", "non-member"),), x1 * x1)
+    assert not r.passed and r.methods == ("rewrite", "oracle")
+    assert len(precheck_calls) == 1
+
+
+def test_precheck_runs_in_oracle_mode(precheck_calls):
+    v = Verifier(2, completion_degree=8, mode="oracle")
+    assert v.decide("probe", (), v.relations[0]).passed
+    assert len(precheck_calls) == 1
+
+
+@pytest.fixture(scope="module")
+def chie2():
+    return ChiEVerifier(2)
+
+
+def test_chi_e_precheck_only_while_open(chie2, precheck_calls):
+    e1 = NcPoly.generator(chie2.alphabet, "e1")
+    member = chie2._decide((("case", "member"),), chie2.relations[0])
+    assert member.passed and member.methods == ("rewrite", "oracle")
+    assert precheck_calls == []
+    non_member = chie2._decide((("case", "non-member"),), e1 * e1)
+    assert not non_member.passed
+    assert len(precheck_calls) == 1
+    oracle_only = ChiEVerifier(2, mode="oracle")
+    assert oracle_only._decide((), chie2.relations[0]).passed
+    assert len(precheck_calls) == 2
