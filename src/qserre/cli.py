@@ -1,7 +1,9 @@
 """Command-line front end: expression normal forms, suite runner, reports.
 
 Exit codes: 0 when every requested check passes, 1 when at least one
-identity fails, 2 for usage or configuration errors.  Output is
+identity fails, 2 for usage or configuration errors (any ValueError,
+such as a bad rank, window or oracle cap), 3 when rewriting and the
+oracle disagree, which is an engine bug.  Output is
 deterministic for a fixed configuration and seed; structured mode emits
 one JSON record per check (the millis field is wall time and is the one
 field that varies between runs).
@@ -18,8 +20,8 @@ from qserre.exprparse import ParseError, parse_expression
 from qserre.rewrite import base_rules, chi_e_rules, complete, dump_rules, load_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
-    ChiEVerifier, VerificationReport, Verifier, descending_triples,
-    needed_completion_degree, qq_windows,
+    ChiEVerifier, MethodDisagreement, VerificationReport, Verifier,
+    descending_triples, needed_completion_degree, qq_windows,
 )
 
 SUITES = ("telescoping", "lemma", "central", "ayb", "far", "qq", "chie",
@@ -82,7 +84,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_hilbert(args)
-    except ConfigError as err:
+    except MethodDisagreement as err:
+        print("error: engine bug: %s" % err, file=sys.stderr)
+        return 3
+    except ValueError as err:
+        # bad ranks, windows, caps and rule files; ConfigError is one too
         print("error: %s" % err, file=sys.stderr)
         return 2
 
@@ -268,6 +274,8 @@ def cmd_verify(args) -> int:
         suites = [s for s in SUITES if args.rank >= _min_rank(s)]
     else:
         suites = [args.suite]
+    if not suites:
+        raise ConfigError("no suite runs at rank %d" % args.rank)
     needed = max(_needed_for(s, args) for s in suites)
     if args.completion_degree is not None:
         if args.completion_degree < needed:
@@ -287,13 +295,10 @@ def cmd_verify(args) -> int:
                               "but the requested checks need %d"
                               % (loaded.completed_degree, needed))
 
-    try:
-        verifier = Verifier(args.rank, completion_degree=completion,
-                            oracle_cap=args.oracle_cap, mode=args.mode,
-                            precheck_points=args.precheck_points,
-                            seed=args.seed, rules=loaded)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    verifier = Verifier(args.rank, completion_degree=completion,
+                        oracle_cap=args.oracle_cap, mode=args.mode,
+                        precheck_points=args.precheck_points,
+                        seed=args.seed, rules=loaded)
     needs_rules = [s for s in suites
                    if s not in ("telescoping", "ratio", "chie")]
     if needs_rules:

@@ -89,10 +89,6 @@ class SpectralWindow:
             raise ValueError("window needs lam >= mu, got (%d, %d)"
                              % (self.lam, self.mu))
 
-    @property
-    def width(self) -> int:
-        return self.lam - self.mu
-
 
 def _word_key(word):
     return (len(word), word)
@@ -273,19 +269,6 @@ class NcPoly:
 
     def __repr__(self):
         return "<NcPoly %s>" % self
-
-
-def nc_arith(p: NcPoly, r, op: str) -> NcPoly:
-    """Free-algebra arithmetic dispatch: add/sub/mul/scalar_mul."""
-    if op == "add":
-        return p + r
-    if op == "sub":
-        return p - r
-    if op == "mul":
-        return p * r
-    if op == "scalar_mul":
-        return p.scale(r)
-    raise ValueError("unknown op %r" % op)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ All defining relations preserve the multiset of letters in a word, so
 each homogeneous component splits further into multidegree blocks that
 are decided separately; the elimination never sees more than a few
 hundred columns.  Elimination is fraction-free over Z[s]: coefficients
-stay integer polynomials, with no Q(s) division.  A randomized
-evaluation at rational points can reject clear non-members cheaply; the
-verifiers run it before the exact elimination only while membership is
-still open, not after rewriting has reduced the input to zero.
+stay integer polynomials, with no Q(s) division.
+
+The randomized precheck specializes s at rational points and runs this
+same blockwise elimination over Q, on an oracle built once per point and
+kept on the exact one.  It can only reject; the verifiers run it before
+the exact elimination only while membership is still open, not after
+rewriting has reduced the input to zero.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import factorial, gcd as _int_gcd
 
 from qserre.freealg import Alphabet, NcPoly
 from qserre.qfield import (
-    _content as _int_content, _pdivmod_exact, _pgcd, _pmul, _pneg,
+    QRat, _content as _int_content, _pdivmod_exact, _pgcd, _pmul, _pneg,
     _primitive, _psub,
 )
 
@@ -196,6 +199,7 @@ class IdealOracle:
                                  "blockwise elimination does not apply")
             self._rel_contents.append(next(iter(contents)))
         self._blocks = {}
+        self._points = {}  # s-point -> specialized oracle, None if inadmissible
 
     def _block(self, content) -> _Echelon:
         """Echelon basis of the ideal's slice with the given letter counts."""
@@ -227,15 +231,29 @@ class IdealOracle:
                 return False
         return True
 
-    def member(self, p: NcPoly, degree_cap: int):
+    def member(self, p: NcPoly, degree_cap: int) -> MembershipResult:
         slices = split_homogeneous(p)
         for s in slices:
             if s.degree > degree_cap:
                 raise ValueError(
                     "slice of degree %d exceeds the oracle cap %d; "
                     "use the rewriting path" % (s.degree, degree_cap))
-        per_slice = {s.degree: self.slice_member(s) for s in slices}
-        return MembershipResult(all(per_slice.values()), per_slice)
+        return MembershipResult(all(self.slice_member(s) for s in slices))
+
+    def at_point(self, pt):
+        """This oracle with s specialized to pt, built once per point.
+
+        None when pt is inadmissible: some coefficient has a pole there
+        or some relation vanishes.
+        """
+        if pt not in self._points:
+            try:
+                rels = [_specialize(rel, pt) for rel in self.relations]
+            except ZeroDivisionError:
+                rels = None
+            self._points[pt] = (None if rels is None or any(r.is_zero for r in rels)
+                                else IdealOracle(self.alphabet, rels))
+        return self._points[pt]
 
     def quotient_dimension(self, degree: int) -> int:
         """dim of the degree component of the quotient algebra."""
@@ -252,7 +270,6 @@ class IdealOracle:
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
-    per_slice: dict
 
     def __bool__(self):
         return self.member
@@ -267,11 +284,6 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def ideal_member(p: NcPoly, relations, degree_cap: int) -> MembershipResult:
-    """Exact membership verdict per homogeneous slice (and overall)."""
-    return IdealOracle(p.alphabet, relations).member(p, degree_cap)
-
-
 # ---------------------------------------------------------------------------
 # randomized pre-check: specialize s and decide over plain rationals
 # ---------------------------------------------------------------------------
@@ -280,7 +292,13 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def random_points(count: int, seed) -> list:
-    """Ratios of distinct small primes; s in {0, 1, -1} can never occur."""
+    """Ratios of distinct small primes; s in {0, 1, -1} can never occur.
+
+    A longer list from the same seed extends the shorter one.
+    """
+    if count > len(_PRIMES) * (len(_PRIMES) - 1):
+        raise ValueError("only %d distinct sample points exist"
+                         % (len(_PRIMES) * (len(_PRIMES) - 1)))
     rng = random.Random(seed)
     pts = []
     while len(pts) < count:
@@ -291,84 +309,39 @@ def random_points(count: int, seed) -> list:
     return pts
 
 
-class _RationalEchelon:
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = {}
-
-    def residue(self, vec):
-        vec = dict(vec)
-        pivots = self.pivots
-        while vec:
-            lead = max(vec)
-            row = pivots.get(lead)
-            if row is None:
-                return vec, lead
-            c = vec[lead]
-            for w, rc in row.items():
-                v = vec.get(w, 0) - c * rc
-                if v:
-                    vec[w] = v
-                elif w in vec:
-                    del vec[w]
-        return vec, None
-
-    def insert(self, vec):
-        res, lead = self.residue(vec)
-        if lead is None:
-            return False
-        inv = 1 / res[lead]
-        self.pivots[lead] = {w: inv * c for w, c in res.items()}
-        return True
+def _specialize(p: NcPoly, pt) -> NcPoly:
+    """p with s = pt, as QRat constants; raises ZeroDivisionError at a pole."""
+    return NcPoly(p.alphabet, {w: QRat(c(pt)) for w, c in p.terms.items()})
 
 
-def randomized_precheck(p: NcPoly, relations, points: int = 3, seed=0) -> bool:
+def randomized_precheck(p: NcPoly, oracle: IdealOracle, points: int = 3,
+                        seed=0) -> bool:
     """False means certainly not a member; True means run the exact check.
 
-    Coefficients are evaluated at random rational s-points and the same
-    blockwise membership problem is solved over Q.  A point where some
-    denominator vanishes is discarded and resampled.
+    p and the oracle's relations are specialized at points from
+    random_points, and each specialized slice goes through the same
+    blockwise membership test as the exact oracle, over Q.  A point where
+    a denominator or a whole relation vanishes is discarded and the next
+    one drawn.  The specialized oracles, with their block echelons, are
+    kept on the exact oracle, so repeated calls reuse them.
     """
     if p.is_zero:
         return True
-    alphabet = p.alphabet
-    n = len(alphabet)
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
+    pts, i, done = [], 0, 0
     while done < points:
-        attempts += 1
-        if attempts > 50 * max(points, 1):
-            raise RuntimeError("could not find enough admissible points")
-        a, b = rng.sample(_PRIMES, 2)
-        pt = Fraction(a, b)
+        if i == len(pts):
+            # the same seed extends the same sequence
+            pts = random_points(len(pts) + points - done, seed)
+        pt = pts[i]
+        i += 1
+        spec = oracle.at_point(pt)
+        if spec is None:
+            continue
         try:
-            rels_ev = [{w: c(pt) for w, c in rel.terms.items()}
-                       for rel in relations]
-            p_ev = {w: c(pt) for w, c in p.terms.items()}
+            p_pt = _specialize(p, pt)
         except ZeroDivisionError:
             continue
         done += 1
-        by_deg = {}
-        for w, c in p_ev.items():
-            by_deg.setdefault(len(w), {})[w] = c
-        for d, vec_d in by_deg.items():
-            grouped = {}
-            for w, c in vec_d.items():
-                grouped.setdefault(_content(w, n), {})[w] = c
-            for content, vec in grouped.items():
-                ech = _RationalEchelon()
-                for rel, rel_ev in zip(relations, rels_ev):
-                    rc = _content(next(iter(rel.terms)), n)
-                    rem = tuple(x - y for x, y in zip(content, rc))
-                    if any(x < 0 for x in rem):
-                        continue
-                    for pad in _multiset_words(rem):
-                        for cut in range(len(pad) + 1):
-                            u, v = pad[:cut], pad[cut:]
-                            ech.insert({u + w + v: c for w, c in rel_ev.items()})
-                res, lead = ech.residue(vec)
-                if lead is not None:
-                    return False
+        if not all(spec.slice_member(s) for s in split_homogeneous(p_pt)):
+            return False
     return True

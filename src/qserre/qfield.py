@@ -56,12 +56,6 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pscale(a, k):
-    if k == 0:
-        return ()
-    return tuple(c * k for c in a)
-
-
 def _content(a):
     g = 0
     for c in a:
@@ -481,20 +475,3 @@ def s_power(k: int) -> QRat:
     if k >= 0:
         return QRat._raw((0,) * k + (1,), (1,))
     return QRat._raw((1,), (0,) * (-k) + (1,))
-
-
-def qrat_arith(a: QRat, b: QRat, op: str) -> QRat:
-    """Field arithmetic dispatch; op is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % op)
-
-
-def qrat_eval(a: QRat, s_value) -> Fraction:
-    return a(s_value)

@@ -20,38 +20,20 @@ from qserre.qfield import ONE
 
 
 class DegLexOrder:
-    """Degree first, then left-to-right letter precedence.
+    """Degree first, then lexicographic in the alphabet's letter order.
 
     Compatible with concatenation, so oriented homogeneous rules always
-    rewrite downhill.  Default precedence is the alphabet order.
+    rewrite downhill.
     """
 
-    __slots__ = ("precedence",)
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, precedence=None):
-        if precedence is None:
-            precedence = tuple(range(len(alphabet)))
-        else:
-            precedence = tuple(precedence)
-            if sorted(precedence) != list(range(len(alphabet))):
-                raise ValueError("precedence must be a permutation of the letters")
-        object.__setattr__(self, "precedence", precedence)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DegLexOrder is immutable")
-
-    def key(self, word):
-        p = self.precedence
-        return (len(word), tuple(p[i] for i in word))
+    @staticmethod
+    def key(word):
+        return (len(word), word)
 
     def leading_word(self, p: NcPoly):
         return max(p.terms, key=self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, DegLexOrder) and self.precedence == other.precedence
-
-    def __hash__(self):
-        return hash(self.precedence)
 
 
 class RewriteRule:
@@ -164,9 +146,6 @@ class _Reducer:
                     del out[w2]
         return NcPoly(p.alphabet, out)
 
-    def is_normal(self, word) -> bool:
-        return self._find(word) is None
-
 
 @dataclass(frozen=True)
 class ReduceOutcome:
@@ -202,6 +181,7 @@ class RuleSet:
         return len(self.rules)
 
     def reduce(self, p: NcPoly) -> NcPoly:
+        """Normal form of p; canonical when deg(p) <= completed_degree."""
         return self._reducer.normal_form(p)
 
     def reduce_flagged(self, p: NcPoly) -> ReduceOutcome:
@@ -209,41 +189,54 @@ class RuleSet:
         d = p.degree
         return ReduceOutcome(nf, d is None or d <= self.completed_degree)
 
-    def is_normal_word(self, word) -> bool:
-        return self._reducer.is_normal(word)
-
 
 def _contains(hay, needle):
     n = len(needle)
     return any(hay[i:i + n] == needle for i in range(len(hay) - n + 1))
 
 
-def reduce(p: NcPoly, rules: RuleSet) -> NcPoly:
-    """Normal form of p; canonical when deg(p) <= rules.completed_degree."""
-    return rules.reduce(p)
+def _oriented(alphabet: Alphabet, relations) -> RuleSet:
+    order = DegLexOrder()
+    return RuleSet(alphabet, order, [orient(rel, order) for rel in relations],
+                   completed_degree=0)
 
 
 def base_rules(rank: int) -> RuleSet:
     """Oriented defining rules of the rank-r presentation (not yet completed)."""
     alphabet = x_alphabet(rank)
-    order = DegLexOrder(alphabet)
-    rules = [orient(rel, order) for rel in serre_relations(alphabet)]
-    return RuleSet(alphabet, order, rules, completed_degree=0)
+    return _oriented(alphabet, serre_relations(alphabet))
 
 
 def chi_e_rules(rank: int) -> RuleSet:
     """Oriented rules of the quantum-coordinate presentation."""
     alphabet = chi_e_alphabet(rank)
-    order = DegLexOrder(alphabet)
-    rules = [orient(rel, order) for rel in chi_e_relations(alphabet)]
-    return RuleSet(alphabet, order, rules, completed_degree=0)
+    return _oriented(alphabet, chi_e_relations(alphabet))
 
 
-def _overlaps(a, b):
-    """Proper suffix-of-a = prefix-of-b overlaps, as overlap lengths."""
-    for k in range(1, min(len(a), len(b))):
-        if a[len(a) - k:] == b[:k]:
-            yield k
+def _critical_pairs(rules, i, max_degree):
+    """Overlaps of rule i with rules 0..i, both ways, up to max_degree.
+
+    Yields (degree, ia, ib, k): a proper suffix of length k of rule ia's
+    lhs equals a prefix of rule ib's lhs.  None entries are skipped.
+    """
+    for j in range(i + 1):
+        if rules[j] is None:
+            continue
+        for ia, ib in ((i, j), (j, i)):
+            a, b = rules[ia].lhs, rules[ib].lhs
+            for k in range(1, min(len(a), len(b))):
+                d = len(a) + len(b) - k
+                if d <= max_degree and a[len(a) - k:] == b[:k]:
+                    yield d, ia, ib, k
+            if i == j:
+                break  # self-overlaps only once
+
+
+def _s_poly(ra, rb, k, alphabet):
+    """The two one-step rewrites of the overlap word, subtracted."""
+    a = ra.lhs
+    return (ra.rhs * NcPoly.monomial(alphabet, rb.lhs[k:])
+            - NcPoly.monomial(alphabet, a[:len(a) - k]) * rb.rhs)
 
 
 def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSet:
@@ -261,21 +254,11 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
     heap = []
 
     def queue_pairs_with(i):
-        """Push every overlap (critical pair) involving rule i, both sides."""
+        """Push every critical pair of rule i with itself and earlier rules."""
         nonlocal seq
-        ri = work[i]
-        for j in range(i + 1):
-            rj = work[j]
-            if rj is None:
-                continue
-            for a, b, ia, ib in ((ri.lhs, rj.lhs, i, j), (rj.lhs, ri.lhs, j, i)):
-                for k in _overlaps(a, b):
-                    d = len(a) + len(b) - k
-                    if d <= max_degree:
-                        heapq.heappush(heap, (d, seq, ia, ib, k))
-                        seq += 1
-                if ri is rj:
-                    break  # self-overlaps only once
+        for d, ia, ib, k in _critical_pairs(work, i, max_degree):
+            heapq.heappush(heap, (d, seq, ia, ib, k))
+            seq += 1
 
     for i in range(len(work)):
         queue_pairs_with(i)
@@ -289,7 +272,7 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         nonlocal reducer
         nf = reducer.normal_form(poly)
         if nf.is_zero:
-            return False
+            return
         new = orient(nf, order)
         for idx, r in enumerate(work):
             if r is not None and _contains(r.lhs, new.lhs):
@@ -298,7 +281,6 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         work.append(new)
         reducer = _Reducer([r for r in work if r is not None])
         queue_pairs_with(len(work) - 1)
-        return True
 
     while heap or candidates:
         steps += 1
@@ -311,21 +293,13 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         ra, rb = work[ia], work[ib]
         if ra is None or rb is None:
             continue
-        a, b = ra.lhs, rb.lhs
-        if a[len(a) - k:] != b[:k]:
-            continue
-        tail = b[k:]
-        head = a[:len(a) - k]
-        left = ra.rhs * NcPoly.monomial(alphabet, tail)
-        right = NcPoly.monomial(alphabet, head) * rb.rhs
-        spoly = left - right
+        spoly = _s_poly(ra, rb, k, alphabet)
         if spoly.is_zero:
             continue
         add_rule(spoly)
 
     final = [r for r in work if r is not None]
     # tail-reduce right-hand sides against the finished system
-    reducer = _Reducer(final)
     tidy = []
     for r in final:
         others = _Reducer([x for x in final if x is not r])
@@ -337,46 +311,30 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
 
 def critical_pair_residuals(rules: RuleSet, max_degree: int):
     """All S-polynomial normal forms up to max_degree; empty support = confluent."""
-    out = []
     rs = rules.rules
-    for i in range(len(rs)):
-        for j in range(i + 1):
-            for a, b in ((rs[i].lhs, rs[j].lhs), (rs[j].lhs, rs[i].lhs)):
-                for k in _overlaps(a, b):
-                    d = len(a) + len(b) - k
-                    if d > max_degree:
-                        continue
-                    ra = next(r for r in rs if r.lhs == a)
-                    rb = next(r for r in rs if r.lhs == b)
-                    tail, head = b[k:], a[:len(a) - k]
-                    spoly = (ra.rhs * NcPoly.monomial(rules.alphabet, tail)
-                             - NcPoly.monomial(rules.alphabet, head) * rb.rhs)
-                    out.append(((a, b, k), rules.reduce(spoly)))
-                if rs[i] is rs[j]:
-                    break
-    return out
+    return [((rs[ia].lhs, rs[ib].lhs, k),
+             rules.reduce(_s_poly(rs[ia], rs[ib], k, rules.alphabet)))
+            for i in range(len(rs))
+            for _, ia, ib, k in _critical_pairs(rs, i, max_degree)]
+
+
+def _normal_levels(rules: RuleSet, degree: int):
+    """Words with no rule lhs as a subword, one list per degree 0..degree."""
+    lhss = [r.lhs for r in rules.rules]
+    letters = range(len(rules.alphabet))
+    level = [()]
+    yield level
+    for _ in range(degree):
+        # a fresh lhs hit can only be a suffix ending at the new letter
+        level = [w + (i,) for w in level for i in letters
+                 if not any((w + (i,))[-len(lhs):] == lhs for lhs in lhss)]
+        yield level
 
 
 def normal_words(rules: RuleSet, degree: int):
     """All words of the given degree containing no rule lhs as a subword."""
-    lhss = [r.lhs for r in rules.rules]
-    maxlen = max((len(l) for l in lhss), default=1)
-    level = [()]
-    for _ in range(degree):
-        nxt = []
-        for w in level:
-            for i in range(len(rules.alphabet)):
-                w2 = w + (i,)
-                # only suffixes ending at the new letter can be fresh lhs hits
-                tailok = True
-                for lhs in lhss:
-                    n = len(lhs)
-                    if n <= len(w2) and w2[len(w2) - n:] == lhs:
-                        tailok = False
-                        break
-                if tailok:
-                    nxt.append(w2)
-        level = nxt
+    for level in _normal_levels(rules, degree):
+        pass
     return level
 
 
@@ -384,26 +342,7 @@ def normal_word_counts(rules: RuleSet, d_max: int):
     """Count of normal words per degree 0..d_max (the Hilbert diagnostic)."""
     if d_max > rules.completed_degree:
         raise ValueError("counts requested beyond the certified degree")
-    counts = []
-    lhss = [r.lhs for r in rules.rules]
-    level = [()]
-    counts.append(1)
-    for _ in range(d_max):
-        nxt = []
-        for w in level:
-            for i in range(len(rules.alphabet)):
-                w2 = w + (i,)
-                hit = False
-                for lhs in lhss:
-                    n = len(lhs)
-                    if n <= len(w2) and w2[len(w2) - n:] == lhs:
-                        hit = True
-                        break
-                if not hit:
-                    nxt.append(w2)
-        level = nxt
-        counts.append(len(level))
-    return counts
+    return [len(level) for level in _normal_levels(rules, d_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +361,7 @@ def load_rules(text: str, alphabet: Alphabet = None) -> RuleSet:
     from qserre.exprparse import parse_poly
     completed = 0
     rules = []
-    order = None
+    order = DegLexOrder()
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -440,14 +379,10 @@ def load_rules(text: str, alphabet: Alphabet = None) -> RuleSet:
             continue
         if alphabet is None:
             raise ValueError("no alphabet header and none supplied")
-        if order is None:
-            order = DegLexOrder(alphabet)
         lhs_txt, rhs_txt = line.split("->", 1)
         lhs = tuple(alphabet.index(tok) for tok in lhs_txt.split())
         rhs = parse_poly(rhs_txt.strip(), alphabet)
         rules.append(RewriteRule(lhs, rhs, order))
     if alphabet is None:
         raise ValueError("empty rule file")
-    if order is None:
-        order = DegLexOrder(alphabet)
     return RuleSet(alphabet, order, rules, completed_degree=completed)

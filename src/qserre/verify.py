@@ -56,9 +56,15 @@ class VerificationReport:
 class Verifier:
     """Shared context for the x-algebra checks at one rank.
 
-    Completion runs once, lazily, at the configured degree; after that
-    every check is pure and safe to run concurrently.
+    Completion and the oracle are built lazily on first use and keep memo
+    tables that later checks reuse, so one instance serves its checks one
+    after another.  A subclass for another presentation supplies its
+    alphabet, relations and raw rules.
     """
+
+    alphabet_for = staticmethod(x_alphabet)
+    relations_for = staticmethod(serre_relations)
+    raw_rules = staticmethod(base_rules)
 
     def __init__(self, rank: int, completion_degree: int = 8,
                  oracle_cap: int = 8, mode: str = "both",
@@ -66,13 +72,13 @@ class Verifier:
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
         self.rank = rank
-        self.alphabet = x_alphabet(rank)
+        self.alphabet = self.alphabet_for(rank)
         self.completion_degree = completion_degree
         self.oracle_cap = oracle_cap
         self.mode = mode
         self.precheck_points = precheck_points
         self.seed = seed
-        self.relations = serre_relations(self.alphabet)
+        self.relations = self.relations_for(self.alphabet)
         if rules is not None and rules.alphabet != self.alphabet:
             raise ValueError("supplied rules are for %r, not %r"
                              % (rules.alphabet, self.alphabet))
@@ -82,7 +88,7 @@ class Verifier:
     @property
     def rules(self) -> RuleSet:
         if self._rules is None:
-            self._rules = complete(base_rules(self.rank),
+            self._rules = complete(self.raw_rules(self.rank),
                                    self.completion_degree)
         return self._rules
 
@@ -144,7 +150,7 @@ class Verifier:
                 # a zero reduction proved membership: the precheck could only
                 # pass, and the exact oracle below still cross-checks it
                 if in_ideal or randomized_precheck(
-                        low_part, self.relations, self.precheck_points,
+                        low_part, self.oracle, self.precheck_points,
                         self.seed):
                     ok = all(self.oracle.slice_member(s) for s in checkable)
                 else:
@@ -228,13 +234,8 @@ class Verifier:
             x = NcPoly.generator(self.alphabet, g)
             reports.append(self.decide("central", (("element", element), ("with", g)),
                                        z * x - x * z))
-        passed = all(r.passed for r in reports)
-        residual = next((r.residual for r in reports if not r.residual.is_zero),
-                        NcPoly.zero(self.alphabet))
-        methods = reports[0].methods
-        millis = (time.perf_counter() - t0) * 1000.0
-        return VerificationReport("central", (("element", element), ("n", n)),
-                                  passed, residual, methods, millis)
+        return _combined("central", (("element", element), ("n", n)),
+                         reports, self.alphabet, t0)
 
     def check_ayb(self, n: int, lam: int, mu: int, nu: int) -> VerificationReport:
         lhs, rhs = ayb_sides(self.alphabet, n, lam, mu, nu)
@@ -268,64 +269,25 @@ _CHI_E_NOTE = ("assumes distant chi pairs commute and every chi commutes "
                "with every e")
 
 
-class ChiEVerifier:
+class ChiEVerifier(Verifier):
     """Checks that y_n = chi_n e_n satisfies the x-family relations."""
+
+    alphabet_for = staticmethod(chi_e_alphabet)
+    relations_for = staticmethod(chi_e_relations)
+    raw_rules = staticmethod(chi_e_rules)
 
     def __init__(self, rank: int, completion_degree: int = 6,
                  oracle_cap: int = 8, mode: str = "both",
                  precheck_points: int = 2, seed: int = 0):
-        self.rank = rank
-        self.alphabet = chi_e_alphabet(rank)
-        self.relations = chi_e_relations(self.alphabet)
-        self.mode = mode
-        self.oracle_cap = oracle_cap
-        self.precheck_points = precheck_points
-        self.seed = seed
-        self._rules = complete(chi_e_rules(rank), completion_degree)
-        self._oracle = None
-
-    @property
-    def rules(self):
-        return self._rules
+        super().__init__(rank, completion_degree, oracle_cap, mode,
+                         precheck_points, seed)
 
     def _y(self, i):
         return (NcPoly.generator(self.alphabet, "chi%d" % i)
                 * NcPoly.generator(self.alphabet, "e%d" % i))
 
     def _decide(self, params, diff):
-        t0 = time.perf_counter()
-        methods = []
-        in_ideal, not_in_ideal = False, False
-        residual = diff
-        if self.mode in ("rewrite", "both"):
-            out = self._rules.reduce_flagged(diff)
-            residual = out.poly
-            methods.append("rewrite")
-            if out.poly.is_zero:
-                in_ideal = True
-            elif out.certified:
-                not_in_ideal = True
-        if self.mode in ("oracle", "both"):
-            if self._oracle is None:
-                self._oracle = IdealOracle(self.alphabet, self.relations)
-            slices = split_homogeneous(diff)
-            if all(s.degree <= self.oracle_cap for s in slices):
-                if in_ideal or randomized_precheck(
-                        diff, self.relations, self.precheck_points,
-                        self.seed):
-                    ok = all(self._oracle.slice_member(s) for s in slices)
-                else:
-                    ok = False
-                methods.append("oracle")
-                if ok:
-                    in_ideal = True
-                else:
-                    not_in_ideal = True
-        if in_ideal and not_in_ideal:
-            raise MethodDisagreement("chi-e %s: methods disagree" % (params,))
-        millis = (time.perf_counter() - t0) * 1000.0
-        return VerificationReport("chie", tuple(params), in_ideal, residual,
-                                  tuple(methods), millis, (_CHI_E_NOTE,))
+        return self.decide("chie", params, diff, (_CHI_E_NOTE,))
 
     def family_reports(self):
         """One report per relation family instance."""
@@ -351,14 +313,18 @@ def check_chi_e(rank: int, **kwargs) -> VerificationReport:
     """All three x-relation families for y_n = chi_n e_n at this rank."""
     t0 = time.perf_counter()
     v = ChiEVerifier(rank, **kwargs)
-    reports = v.family_reports()
-    passed = all(r.passed for r in reports)
+    return _combined("chie", (("rank", rank),), v.family_reports(),
+                     v.alphabet, t0, (_CHI_E_NOTE,))
+
+
+def _combined(identity, params, reports, alphabet, t0, notes=()):
+    """One report for several checks: it passes when all of them do."""
     residual = next((r.residual for r in reports if not r.residual.is_zero),
-                    NcPoly.zero(v.alphabet))
-    millis = (time.perf_counter() - t0) * 1000.0
+                    NcPoly.zero(alphabet))
     methods = reports[0].methods if reports else ("rewrite",)
-    return VerificationReport("chie", (("rank", rank),), passed, residual,
-                              methods, millis, (_CHI_E_NOTE,))
+    millis = (time.perf_counter() - t0) * 1000.0
+    return VerificationReport(identity, params, all(r.passed for r in reports),
+                              residual, methods, millis, notes)
 
 
 # ---------------------------------------------------------------------------

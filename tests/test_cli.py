@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import re
 
@@ -285,3 +286,57 @@ def test_malformed_rules_file_exits_2(tmp_path, capsys):
     path.write_text("# alphabet: x:2\nx2 y1 -> x1 x2\n")  # unknown letter
     code, _, err = run(capsys, "verify", "central", "--rules", str(path))
     assert code == 2 and err.startswith("error: ")
+
+
+# -- golden output: verdicts pinned against an earlier run ---------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_verify_all_rank2_matches_golden(capsys):
+    # recorded once from `verify all --rank 2 --output structured` with
+    # millis set to 0; any verdict, method or residual change shows here
+    code, out, _ = run(capsys, "verify", "all", "--rank", "2",
+                       "--output", "structured")
+    assert code == 0
+    got = []
+    for line in out.splitlines():
+        rec = json.loads(line)
+        rec["millis"] = 0
+        got.append(json.dumps(rec, sort_keys=True))
+    want = (GOLDEN / "verify_all_rank2.jsonl").read_text().splitlines()
+    assert got == want
+
+
+# -- bad input: one error line and a documented exit code ------------------------
+
+def _one_error_line(code, out, err, want_code, phrase):
+    assert code == want_code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert phrase in err
+
+
+@pytest.mark.parametrize("argv, phrase", [
+    # ayb at rank 2 reaches degree 10, above the default cap 8
+    (("verify", "all", "--rank", "2", "--mode", "oracle"),
+     "slice of degree 10 exceeds the oracle cap 8"),
+    (("verify", "central", "--mode", "oracle", "--oracle-cap", "2"),
+     "exceeds the oracle cap 2"),
+    # the chi-e families have degree 6: with cap 4 nothing can decide them
+    # in oracle mode, a configuration error rather than a failed identity
+    (("verify", "chie", "--mode", "oracle", "--oracle-cap", "4"),
+     "slice of degree 6 exceeds the oracle cap 4"),
+    (("verify", "all", "--rank", "0"), "no suite runs at rank 0"),
+    (("hilbert", "--rank", "0"), "needs rank >= 1"),
+    (("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
+     "need lam, mu >= nu"),
+])
+def test_bad_input_exits_2(capsys, argv, phrase):
+    _one_error_line(*run(capsys, *argv), 2, phrase)
+
+
+def test_method_disagreement_exits_3(capsys, monkeypatch):
+    from qserre.oracle import IdealOracle
+    monkeypatch.setattr(IdealOracle, "slice_member", lambda self, s: False)
+    _one_error_line(*run(capsys, "verify", "central"),
+                    3, "rewrite and oracle disagree")

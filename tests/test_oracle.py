@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qserre.qfield import ONE, Q, QRat
+import qserre.oracle as oracle_module
+from qserre.qfield import ONE, Q, S, QRat, q_power
 from qserre.freealg import NcPoly, chi_e_alphabet, chi_e_relations, serre_relations, x_alphabet
 from qserre.oracle import (
-    IdealOracle, ideal_member, random_points, randomized_precheck, split_homogeneous,
+    IdealOracle, random_points, randomized_precheck, split_homogeneous,
 )
 
 A2 = x_alphabet(2)
@@ -34,25 +37,24 @@ def test_split_homogeneous():
 def test_relation_is_member():
     x1, x2 = gens(A2)
     p = x1 * x1 * x2 + (x2 * x1 * x1).scale(Q) - (x1 * x2 * x1).scale(ONE + Q)
-    assert ideal_member(p, RELS2, 8).member
+    assert IdealOracle(A2, RELS2).member(p, 8).member
 
 
 def test_commutator_is_not_member():
     x1, x2 = gens(A2)
-    res = ideal_member(x1 * x2 - x2 * x1, RELS2, 8)
+    res = IdealOracle(A2, RELS2).member(x1 * x2 - x2 * x1, 8)
     assert not res.member
-    assert res.per_slice == {2: False}
 
 
 def test_zero_is_member():
-    assert ideal_member(NcPoly.zero(A2), RELS2, 8).member
+    assert IdealOracle(A2, RELS2).member(NcPoly.zero(A2), 8).member
 
 
 def test_cap_exceeded():
     x1, x2 = gens(A2)
     p = (x1 * x2) ** 5
     with pytest.raises(ValueError):
-        ideal_member(p, RELS2, 8)
+        IdealOracle(A2, RELS2).member(p, 8)
 
 
 def test_membership_monotone_under_padding_and_sums():
@@ -64,14 +66,15 @@ def test_membership_monotone_under_padding_and_sums():
         x1 * rel * x2 - rel * (x1 * x2),
     ]
     for p in combos:
-        assert ideal_member(p, RELS2, 8).member
+        assert IdealOracle(A2, RELS2).member(p, 8).member
 
 
 def test_precheck_examples():
     x1, x2 = gens(A2)
-    assert randomized_precheck(NcPoly.zero(A2), RELS2, 3, 0)
-    assert randomized_precheck(RELS2[0], RELS2, 3, 0)
-    assert not randomized_precheck(x1 * x2 - x2 * x1, RELS2, 3, 0)
+    oracle = IdealOracle(A2, RELS2)
+    assert randomized_precheck(NcPoly.zero(A2), oracle, 3, 0)
+    assert randomized_precheck(RELS2[0], oracle, 3, 0)
+    assert not randomized_precheck(x1 * x2 - x2 * x1, oracle, 3, 0)
 
 
 def test_random_points_admissible():
@@ -80,6 +83,7 @@ def test_random_points_admissible():
     for pt in pts:
         assert pt not in (0, 1, -1)
     assert random_points(6, 42) == pts
+    assert random_points(9, 42)[:6] == pts  # a longer draw extends the list
 
 
 def test_agreement_with_rewriter_small():
@@ -156,5 +160,88 @@ def test_echelon_rows_are_integer_polynomials():
     x1, x2 = gens(A2)
     rel = RELS2[0].scale(QRat(1, (1, 0, 1)))
     assert len({c.den for c in rel.terms.values()}) == 2
-    assert ideal_member(rel, RELS2, 8).member
-    assert not ideal_member(rel + (x1 * x2 * x1).scale(QRat(2, 3)), RELS2, 8).member
+    oracle = IdealOracle(A2, RELS2)
+    assert oracle.member(rel, 8).member
+    assert not oracle.member(rel + (x1 * x2 * x1).scale(QRat(2, 3)), 8).member
+
+
+# -- the precheck: the exact oracle's blocks at specialized points -------------
+
+PRECHECK_ORACLES = (IdealOracle(A2, RELS2), IdealOracle(A3, RELS3),
+                    IdealOracle(chi_e_alphabet(2),
+                                chi_e_relations(chi_e_alphabet(2))))
+# nonzero at every sample point, which is a ratio of distinct primes
+NONVANISHING = (ONE, QRat(-2), Q, QRat(3) * S, q_power(-1))
+COEFFS = NONVANISHING + (ONE + Q, ONE / (ONE - Q), QRat(2, 3) * Q)
+
+
+def _padded_member(data, oracle, max_degree=6):
+    a = oracle.alphabet
+    letters = st.integers(0, len(a) - 1)
+    p = NcPoly.zero(a)
+    for _ in range(data.draw(st.integers(1, 3))):
+        rel = data.draw(st.sampled_from(oracle.relations))
+        room = max_degree - rel.degree
+        u = tuple(data.draw(st.lists(letters, max_size=room)))
+        v = tuple(data.draw(st.lists(letters, max_size=room - len(u))))
+        c = data.draw(st.sampled_from(COEFFS))
+        p = p + (NcPoly.monomial(a, u) * rel * NcPoly.monomial(a, v)).scale(c)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_precheck_never_rejects_a_member(data):
+    oracle = data.draw(st.sampled_from(PRECHECK_ORACLES))
+    p = _padded_member(data, oracle)
+    assert randomized_precheck(p, oracle, 2, data.draw(st.integers(0, 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_precheck_rejects_a_lone_word_in_its_block(data):
+    # the ideal is spanned blockwise by padded relations and none of these
+    # algebras has zero divisors, so a single word alone in its letter-count
+    # block survives every specialization: never a member
+    oracle = data.draw(st.sampled_from(PRECHECK_ORACLES))
+    a = oracle.alphabet
+    n = len(a)
+    w = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+    block = sorted(w)
+    rest = {u: c for u, c in _padded_member(data, oracle).terms.items()
+            if sorted(u) != block}
+    p = NcPoly(a, rest) + NcPoly.monomial(a, w, data.draw(st.sampled_from(NONVANISHING)))
+    assert not randomized_precheck(p, oracle, 2, data.draw(st.integers(0, 20)))
+
+
+def test_precheck_builds_each_point_block_once(monkeypatch):
+    x1, x2, x3 = gens(A3)
+    p = RELS3[0] * x3 + x2 * RELS3[1] + RELS3[2].scale(Q)
+    oracle = IdealOracle(A3, RELS3)
+    assert randomized_precheck(p, oracle, 3, 7)
+    built = []
+    real = oracle_module._Echelon
+    monkeypatch.setattr(oracle_module, "_Echelon",
+                        lambda: built.append(1) or real())
+    assert randomized_precheck(p, oracle, 3, 7)
+    assert built == []
+    # control: a fresh oracle does build them, and the counter sees it
+    assert randomized_precheck(p, IdealOracle(A3, RELS3), 3, 7)
+    assert built
+
+
+def test_precheck_discards_inadmissible_points():
+    pole = QRat(1, (-2, 3))  # 1 / (3s - 2): a pole at s = 2/3
+    root = QRat((-2, 3))     # 3s - 2: the relation vanishes at s = 2/3
+    for scale in (pole, root):
+        oracle = IdealOracle(A2, [RELS2[0].scale(scale), RELS2[1]])
+        assert oracle.at_point(Fraction(2, 3)) is None
+        assert oracle.at_point(Fraction(3, 2)) is not None
+    x1, x2 = gens(A2)
+    oracle = IdealOracle(A2, [RELS2[0].scale(pole), RELS2[1]])
+    # draw every sample point, 2/3 among them: the answers stay sound
+    assert randomized_precheck(RELS2[0] * x1, oracle, 181, 0)
+    assert not randomized_precheck(x1 * x2, oracle, 181, 0)
+    assert oracle._points[Fraction(2, 3)] is None
+    with pytest.raises(ValueError):
+        randomized_precheck(RELS2[0] * x1, oracle, 182, 0)

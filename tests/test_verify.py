@@ -315,3 +315,22 @@ def test_chi_e_precheck_only_while_open(chie2, precheck_calls):
     oracle_only = ChiEVerifier(2, mode="oracle")
     assert oracle_only._decide((), chie2.relations[0]).passed
     assert len(precheck_calls) == 2
+
+
+# -- the chi-e suite decides through Verifier.decide ----------------------------
+
+def test_chi_e_partial_oracle_cap_notes_skip_and_runs_oracle():
+    v = ChiEVerifier(2, oracle_cap=4)
+    e1 = NcPoly.generator(v.alphabet, "e1")
+    cubic, quad = v.relations[0], v.relations[2]
+    assert (cubic.degree, quad.degree) == (3, 2)
+    # a member with a degree-6 slice above the cap and a degree-2 one below
+    r = v._decide((("case", "mixed"),), cubic * e1 * e1 * e1 + quad)
+    assert r.passed
+    assert r.methods == ("rewrite", "oracle")
+    assert "oracle skipped slices of degree > 4" in r.notes
+
+
+def test_chi_e_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        ChiEVerifier(2, mode="bogus")
