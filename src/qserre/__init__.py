@@ -1,5 +1,5 @@
 """qserre: exact verification of commuting Q-operator families in q-Serre algebras."""
 
-from qserre.qfield import QPoly, QRat, q_power, s_power
+from qserre.qfield import QRat, q_power, s_power
 
-__all__ = ["QPoly", "QRat", "q_power", "s_power"]
+__all__ = ["QRat", "q_power", "s_power"]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
-such as a bad rank, window or oracle cap), 3 when rewriting and the
-oracle disagree, which is an engine bug.  Output is
+such as a bad rank, an empty grid, an oracle cap or a rule file that
+fails its checks), 3 when rewriting and the oracle disagree, which is an
+engine bug.  Every command takes its rule set from _rule_set.  Output is
 deterministic for a fixed configuration and seed; structured mode emits
 one JSON record per check (the millis field is wall time and is the one
 field that varies between runs).
@@ -17,15 +18,21 @@ import re
 import sys
 
 from qserre.exprparse import ParseError, parse_expression
-from qserre.rewrite import base_rules, chi_e_rules, complete, dump_rules, load_rules, normal_word_counts
+from qserre.oracle import IdealOracle
+from qserre.rewrite import (
+    base_rules, chi_e_rules, complete, critical_pair_residuals, dump_rules,
+    load_rules, normal_word_counts,
+)
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
     ChiEVerifier, MethodDisagreement, VerificationReport, Verifier,
-    descending_triples, needed_completion_degree, qq_windows,
+    descending_triples, needed_completion_degree, qq_degree, qq_windows,
 )
 
 SUITES = ("telescoping", "lemma", "central", "ayb", "far", "qq", "chie",
           "ratio", "ayb-formal")
+# these never rewrite with the x rules, so --rules/--dump-rules name nothing
+SUITES_WITHOUT_X_RULES = ("telescoping", "ratio", "chie")
 
 RATIO_WINDOWS = ((0, 1), (0, 2), (1, 3))
 RATIO_CUTOFF = 6
@@ -88,49 +95,91 @@ def main(argv=None) -> int:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
     except ValueError as err:
-        # bad ranks, windows, caps and rule files; ConfigError is one too
+        # bad ranks, windows, grids, caps and rule files
         print("error: %s" % err, file=sys.stderr)
         return 2
 
 
-class ConfigError(ValueError):
-    pass
+def _rule_set(args, raw, need):
+    """The rule set a command rewrites with, and the run's completion degree.
 
-
-def _read_rules(path):
-    """Load a dumped rule set; an unreadable or malformed file is a ConfigError."""
-    try:
-        with open(path) as fh:
-            return load_rules(fh.read())
-    except (OSError, ValueError, KeyError) as err:
-        raise ConfigError("cannot load rules from %s: %s" % (path, err)) from None
-
-
-def _load_or_complete(args, want_chi_e=False):
+    The one reader of --rules, --dump-rules and the default completion
+    degree.  raw is the command's uncompleted rule set, None when no
+    requested check rewrites; need is the largest degree the command
+    reduces.  A --rules file must match raw's alphabet, be certified to
+    need and pass the content checks; without one, raw is completed to
+    --completion-degree or to max(8, need).
+    """
+    degree = args.completion_degree
+    if degree is None:
+        degree = max(8, need)
+    elif degree < need:
+        raise ValueError("completion degree %d is below the computed "
+                         "requirement %d" % (degree, need))
+    if raw is None:
+        if args.rules or args.dump_rules:
+            raise ValueError("--rules and --dump-rules name the x rule set, "
+                             "which no requested suite uses")
+        return None, degree
     if args.rules:
-        return _read_rules(args.rules)
-    degree = args.completion_degree if args.completion_degree is not None else 8
-    raw = chi_e_rules(args.rank) if want_chi_e else base_rules(args.rank)
-    return complete(raw, degree)
-
-
-def _maybe_dump(args, rules):
+        try:
+            with open(args.rules) as fh:
+                rules = load_rules(fh.read())
+        except (OSError, ValueError, KeyError) as err:
+            raise ValueError("cannot load rules from %s: %s"
+                             % (args.rules, err)) from None
+        if rules.alphabet != raw.alphabet:
+            raise ValueError("%s holds rules over %s, not %s" % (
+                args.rules, rules.alphabet, raw.alphabet))
+        if rules.completed_degree < need:
+            raise ValueError("%s is certified to degree %d, below the "
+                             "required %d" % (args.rules,
+                                              rules.completed_degree, need))
+        _check_loaded(rules, raw, args.rules)
+    else:
+        rules = complete(raw, degree)
     if args.dump_rules:
-        with open(args.dump_rules, "w") as fh:
-            fh.write(dump_rules(rules))
+        try:
+            with open(args.dump_rules, "w") as fh:
+                fh.write(dump_rules(rules))
+        except OSError as err:
+            raise ValueError("cannot write rules to %s: %s"
+                             % (args.dump_rules, err)) from None
+    return rules, degree
+
+
+def _check_loaded(rules, raw, path):
+    """Reject a loaded rule set that could certify a false normal form.
+
+    Bergman's diamond lemma: the rules must generate the ideal of the
+    defining relations (each relation reduces to zero, each rule is a
+    member) and every overlap within the declared degree must resolve.
+    """
+    if not all(rules.reduce(r.as_poly()).is_zero for r in raw.rules):
+        raise ValueError("rules in %s do not reduce every defining "
+                         "relation to zero" % path)
+    oracle = IdealOracle(raw.alphabet, [r.as_poly() for r in raw.rules])
+    cap = max((len(r.lhs) for r in rules.rules), default=0)
+    if not all(oracle.member(r.as_poly(), cap).member for r in rules.rules):
+        raise ValueError("rules in %s include a rule the oracle finds "
+                         "outside the ideal" % path)
+    if any(not res.is_zero for _, res in
+           critical_pair_residuals(rules, rules.completed_degree)):
+        raise ValueError("rules in %s leave a critical pair unresolved up "
+                         "to their declared degree %d"
+                         % (path, rules.completed_degree))
 
 
 def cmd_normal_form(args) -> int:
     uses_chi_e = bool(re.search(r"\b(chi|e)\d+\b", args.expr))
-    rules = _load_or_complete(args, want_chi_e=uses_chi_e)
-    rank = max(count for _, count in rules.alphabet.families)
+    raw = chi_e_rules(args.rank) if uses_chi_e else base_rules(args.rank)
     try:
-        poly = parse_expression(args.expr, rules.alphabet, rank)
+        poly = parse_expression(args.expr, raw.alphabet, args.rank)
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
+    rules, _ = _rule_set(args, raw, 0)
     out = rules.reduce_flagged(poly)
-    _maybe_dump(args, rules)
     print(out.poly)
     if out.certified:
         print("# certified: canonical up to degree %d" % rules.completed_degree)
@@ -142,21 +191,10 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if args.completion_degree is not None and args.completion_degree < args.max_degree:
-        raise ConfigError("completion degree %d is below the requested "
-                          "table degree %d" % (args.completion_degree,
-                                               args.max_degree))
-    if args.rules:
-        rules = _load_or_complete(args)
-        if rules.completed_degree < args.max_degree:
-            raise ConfigError("loaded rules certified only to degree %d"
-                              % rules.completed_degree)
-    else:
-        degree = (args.completion_degree if args.completion_degree is not None
-                  else max(8, args.max_degree))
-        rules = complete(base_rules(args.rank), degree)
+    if args.max_degree < 0:
+        raise ValueError("--max-degree %d is negative" % args.max_degree)
+    rules, _ = _rule_set(args, base_rules(args.rank), args.max_degree)
     counts = normal_word_counts(rules, args.max_degree)
-    _maybe_dump(args, rules)
     if args.output == "structured":
         for d, c in enumerate(counts):
             print(json.dumps({"degree": d, "normal_words": c}))
@@ -196,126 +234,85 @@ def _min_rank(suite: str) -> int:
     return 1
 
 
-def suite_jobs(suite: str, args, verifier: Verifier):
-    """Closures producing reports, independent of each other."""
-    rank = args.rank
-    jobs = []
-    if rank < _min_rank(suite):
-        raise ConfigError("suite %r needs rank >= %d" % (suite, _min_rank(suite)))
-
+def _suite_reports(suite: str, args, v: Verifier, qq_grid):
+    """Run one suite's checks over its grid, one after another."""
+    rank = v.rank
+    pairs = [1] + ([2] if rank >= 3 else [])
     if suite == "telescoping":
-        for gen in verifier.alphabet.letters:
+        for gen in v.alphabet.letters:
             for lam, mu, nu in _grid_triples(args):
-                jobs.append(lambda g=gen, a=lam, b=mu, c=nu:
-                            verifier.check_telescoping(g, a, b, c))
+                yield v.check_telescoping(gen, lam, mu, nu)
             for lam in range(args.lambda_max + 1):
                 for mu in range(lam + 1):
-                    jobs.append(lambda g=gen, a=lam, b=mu:
-                                verifier.check_factor_commutation(g, a, b))
+                    yield v.check_factor_commutation(gen, lam, mu)
     elif suite == "lemma":
-        pairs = [1] + ([2] if rank >= 3 else [])
         for n in pairs:
             for mu, lam in _grid_pairs(args):
                 for ordering in ("x1_first", "x2_first"):
-                    jobs.append(lambda a=mu, b=lam, o=ordering, k=n:
-                                verifier.check_lemma(a, b, o, k))
+                    yield v.check_lemma(mu, lam, ordering, n)
     elif suite == "central":
-        for n in [1] + ([2] if rank >= 3 else []):
-            jobs.append(lambda k=n: verifier.check_central_c(n=k))
+        for n in pairs:
+            yield v.check_central_c(n=n)
     elif suite == "ayb":
         for n in range(1, rank):
             for lam, mu, nu in _grid_triples(args):
-                jobs.append(lambda k=n, a=lam, b=mu, c=nu:
-                            verifier.check_ayb(k, a, b, c))
+                yield v.check_ayb(n, lam, mu, nu)
     elif suite == "far":
         for m in range(3, rank + 1):
             for n in range(1, m - 1):
                 for mu, lam in _grid_pairs(args):
-                    jobs.append(lambda a=m, b=n, c=lam, d=mu:
-                                verifier.check_far_commutation(a, b, c, d))
+                    yield v.check_far_commutation(m, n, lam, mu)
     elif suite == "qq":
-        windows = ([(args.lam, args.mu if args.mu is not None else 1,
-                     args.nu if args.nu is not None else 0)]
-                   if args.lam is not None
-                   else qq_windows(rank, args.lambda_max))
-        for lam, mu, nu in windows:
-            jobs.append(lambda a=lam, b=mu, c=nu: verifier.check_qq(a, b, c))
+        for lam, mu, nu in qq_grid:
+            yield v.check_qq(lam, mu, nu)
     elif suite == "chie":
-        def chie_job():
-            v = ChiEVerifier(rank, mode=args.mode, oracle_cap=args.oracle_cap,
-                             precheck_points=args.precheck_points,
-                             seed=args.seed)
-            return v.family_reports()
-        jobs.append(chie_job)
+        yield from ChiEVerifier(
+            rank, completion_degree=v.completion_degree,
+            oracle_cap=v.oracle_cap, mode=v.mode,
+            precheck_points=v.precheck_points, seed=v.seed).family_reports()
     elif suite == "ratio":
         for mu, lam in RATIO_WINDOWS:
-            jobs.append(lambda a=mu, b=lam:
-                        check_ratio_identity(a, b, RATIO_CUTOFF))
-    elif suite == "ayb-formal":
+            yield check_ratio_identity(mu, lam, RATIO_CUTOFF)
+    else:  # ayb-formal
         for n in range(1, rank):
-            jobs.append(lambda k=n: check_ayb_formal(
-                k, FORMAL_CUTOFF, rank=rank, rules=verifier.rules,
-                specializations=3, seed=args.seed))
-    else:
-        raise ConfigError("unknown suite %r" % suite)
-    return jobs
-
-
-def _needed_for(suite, args) -> int:
-    if suite == "qq" and args.lam is not None:
-        mu = args.mu if args.mu is not None else 1
-        return args.rank * (args.lam + mu)
-    lambda_max = args.lam if args.lam is not None else args.lambda_max
-    return needed_completion_degree(suite, args.rank, lambda_max)
+            yield check_ayb_formal(n, FORMAL_CUTOFF, rank=rank, rules=v.rules,
+                                   specializations=3, seed=args.seed)
 
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
         suites = [s for s in SUITES if args.rank >= _min_rank(s)]
+        if not suites:
+            raise ValueError("no suite runs at rank %d" % args.rank)
     else:
         suites = [args.suite]
-    if not suites:
-        raise ConfigError("no suite runs at rank %d" % args.rank)
-    needed = max(_needed_for(s, args) for s in suites)
-    if args.completion_degree is not None:
-        if args.completion_degree < needed:
-            raise ConfigError(
-                "completion degree %d is below the computed requirement %d "
-                "for %s" % (args.completion_degree, needed,
-                            ", ".join(suites)))
-        completion = args.completion_degree
+        if args.rank < _min_rank(args.suite):
+            raise ValueError("suite %r needs rank >= %d"
+                             % (args.suite, _min_rank(args.suite)))
+    if args.lam is not None:
+        lambda_max = args.lam
+        qq_grid = [(args.lam, args.mu if args.mu is not None else 1,
+                    args.nu if args.nu is not None else 0)]
     else:
-        completion = max(8, needed)
-
-    loaded = None
-    if args.rules:
-        loaded = _read_rules(args.rules)
-        if loaded.completed_degree < needed:
-            raise ConfigError("loaded rules certified to degree %d, "
-                              "but the requested checks need %d"
-                              % (loaded.completed_degree, needed))
-
-    verifier = Verifier(args.rank, completion_degree=completion,
+        lambda_max = args.lambda_max
+        qq_grid = qq_windows(args.rank, lambda_max)
+    needed = max(qq_degree(args.rank, qq_grid) if s == "qq"
+                 else needed_completion_degree(s, args.rank, lambda_max)
+                 for s in suites)
+    rewrites = any(s not in SUITES_WITHOUT_X_RULES for s in suites)
+    rules, degree = _rule_set(args, base_rules(args.rank) if rewrites else None,
+                              needed)
+    verifier = Verifier(args.rank, completion_degree=degree,
                         oracle_cap=args.oracle_cap, mode=args.mode,
                         precheck_points=args.precheck_points,
-                        seed=args.seed, rules=loaded)
-    needs_rules = [s for s in suites
-                   if s not in ("telescoping", "ratio", "chie")]
-    if needs_rules:
-        _maybe_dump(args, verifier.rules)
+                        seed=args.seed, rules=rules)
 
-    jobs = []
-    for s in suites:
-        jobs.extend(suite_jobs(s, args, verifier))
-
-    # one after another: the checks are pure Python, so threads only wait
     reports = []
-    for job in jobs:
-        result = job()
-        if isinstance(result, VerificationReport):
-            reports.append(result)
-        else:
-            reports.extend(result)
+    for s in suites:
+        got = list(_suite_reports(s, args, verifier, qq_grid))
+        if not got:
+            raise ValueError("suite %r has no check on the requested grid" % s)
+        reports.extend(got)
     reports.sort(key=VerificationReport.sort_key)
 
     failed = [r for r in reports if not r.passed]

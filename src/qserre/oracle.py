@@ -148,13 +148,13 @@ def _clear_denominators(vec):
     """word -> QRat as word -> integer polynomial, scaled by the lcm of dens."""
     lcm = (1,)
     for c in vec.values():
-        d = c.den.coeffs
+        d = c.den
         if d != (1,) and d != lcm:
             g = _pgcd(lcm, d)
             lcm = _pmul(lcm, _pdivmod_exact(d, g) if len(g) > 1 else d)
     if lcm == (1,):
-        return {w: c.num.coeffs for w, c in vec.items()}
-    return {w: _pmul(c.num.coeffs, _pdivmod_exact(lcm, c.den.coeffs))
+        return {w: c.num for w, c in vec.items()}
+    return {w: _pmul(c.num, _pdivmod_exact(lcm, c.den))
             for w, c in vec.items()}
 
 

@@ -156,61 +156,6 @@ def _peval(a, x: Fraction) -> Fraction:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# QPoly: thin immutable wrapper, the stored numerators/denominators
-# ---------------------------------------------------------------------------
-
-class QPoly:
-    """Integer polynomial in the base indeterminate s (q = s^2)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(tuple(coeffs)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPoly is immutable")
-
-    @property
-    def terms(self):
-        """(exponent, coefficient) pairs, exponents increasing, no zeros."""
-        return tuple((e, c) for e, c in enumerate(self.coeffs) if c)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        return QPoly(_padd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return QPoly(_psub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return QPoly(_pneg(self.coeffs))
-
-    def __mul__(self, other):
-        return QPoly(_pmul(self.coeffs, other.coeffs))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return _peval(self.coeffs, x)
-
-    def __repr__(self):
-        return "QPoly(%r)" % (self.coeffs,)
-
-    def __str__(self):
-        return _poly_str(self.coeffs)
-
-
 def _poly_str(cs):
     if not cs:
         return "0"
@@ -241,7 +186,8 @@ def _poly_str(cs):
 class QRat:
     """Rational function num/den in s, kept in canonical reduced form.
 
-    Canonical form: numerator and denominator share no polynomial factor
+    num and den are integer coefficient tuples, lowest power of s first,
+    with no trailing zeros.  Canonical form: numerator and denominator share no polynomial factor
     and no integer content, and the denominator has a positive leading
     coefficient.  Equality and hashing are structural, which the
     canonical form makes equivalent to field equality.
@@ -257,8 +203,8 @@ class QRat:
                 raise ZeroDivisionError("division by zero in Q(s)")
             n, d = _pmul(n, dd), _pmul(d, dn)
         n, d = _normalize(n, d)
-        object.__setattr__(self, "num", QPoly(n))
-        object.__setattr__(self, "den", QPoly(d))
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
 
     def __setattr__(self, *a):
         raise AttributeError("QRat is immutable")
@@ -267,12 +213,12 @@ class QRat:
     def _raw(cls, n, d):
         """Construct from pre-normalized coefficient tuples."""
         self = object.__new__(cls)
-        object.__setattr__(self, "num", QPoly(n))
-        object.__setattr__(self, "den", QPoly(d))
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
         return self
 
     def _inverse_parts(self):
-        n, d = self.num.coeffs, self.den.coeffs
+        n, d = self.num, self.den
         if not n:
             raise ZeroDivisionError("division by zero in Q(s)")
         if n[-1] < 0:
@@ -283,15 +229,15 @@ class QRat:
 
     @property
     def is_zero(self):
-        return not self.num.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.num.coeffs)
+        return bool(self.num)
 
     @property
     def is_negative(self):
         """Sign of the leading numerator coefficient (den is positive)."""
-        return bool(self.num.coeffs) and self.num.coeffs[-1] < 0
+        return bool(self.num) and self.num[-1] < 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -299,8 +245,8 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if b == d:
             return QRat._raw(*_normalize(_padd(a, c), b))
         return QRat._raw(*_normalize(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)))
@@ -311,8 +257,8 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if b == d:
             return QRat._raw(*_normalize(_psub(a, c), b))
         return QRat._raw(*_normalize(_psub(_pmul(a, d), _pmul(c, b)), _pmul(b, d)))
@@ -324,14 +270,14 @@ class QRat:
         return other - self
 
     def __neg__(self):
-        return QRat._raw(_pneg(self.num.coeffs), self.den.coeffs)
+        return QRat._raw(_pneg(self.num), self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num.coeffs, self.den.coeffs
-        c, d = other.num.coeffs, other.den.coeffs
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if not a or not c:
             return ZERO
         # cross-cancel before multiplying to keep intermediates small
@@ -381,24 +327,24 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     # -- evaluation and display ----------------------------------------------
 
     def __call__(self, s_value) -> Fraction:
         """Exact value at s = s_value; raises if the denominator vanishes."""
         s_value = Fraction(s_value)
-        d = self.den(s_value)
+        d = _peval(self.den, s_value)
         if d == 0:
             raise ZeroDivisionError(
                 "denominator vanishes at s=%s" % (s_value,))
-        return self.num(s_value) / d
+        return _peval(self.num, s_value) / d
 
     def __repr__(self):
         return "QRat(%s)" % self
 
     def __str__(self):
-        n, d = self.num.coeffs, self.den.coeffs
+        n, d = self.num, self.den
         if d == (1,):
             return _poly_str(n)
         # display with a positive lowest denominator coefficient (1-q, not -1+q)
@@ -418,17 +364,15 @@ def _is_simple_neg(txt):
 def _coerce(x):
     if isinstance(x, QRat):
         return x
-    if isinstance(x, (int, Fraction, QPoly)):
+    if isinstance(x, (int, Fraction)):
         return QRat(x)
     return NotImplemented
 
 
 def _as_parts(x):
-    """(num tuple, den tuple) of an int / Fraction / QPoly / QRat / coeff seq."""
+    """(num tuple, den tuple) of an int / Fraction / QRat / coeff seq."""
     if isinstance(x, QRat):
-        return x.num.coeffs, x.den.coeffs
-    if isinstance(x, QPoly):
-        return x.coeffs, (1,)
+        return x.num, x.den
     if isinstance(x, Fraction):
         return ((x.numerator,) if x.numerator else ()), (x.denominator,)
     if isinstance(x, int):

@@ -351,6 +351,11 @@ def descending_triples(top: int):
             for nu in range(mu + 1)]
 
 
+def qq_degree(rank: int, windows) -> int:
+    """Largest degree of a Q-commutator over these (lam, mu, nu) windows."""
+    return max((rank * (lam + mu) for lam, mu, nu in windows), default=0)
+
+
 def needed_completion_degree(suite: str, rank: int, lambda_max: int) -> int:
     """Largest polynomial degree a suite run will feed the reducer."""
     if suite in ("telescoping", "ratio"):
@@ -360,8 +365,7 @@ def needed_completion_degree(suite: str, rank: int, lambda_max: int) -> int:
     if suite in ("lemma", "ayb", "far"):
         return 2 * lambda_max
     if suite == "qq":
-        return max(rank * (lam + mu)
-                   for lam, mu, nu in qq_windows(rank, lambda_max))
+        return qq_degree(rank, qq_windows(rank, lambda_max))
     if suite == "chie":
         return 6
     if suite == "ayb-formal":

@@ -9,6 +9,7 @@ from qserre.cli import main
 from qserre.exprparse import ParseError, parse_expression, parse_poly
 from qserre.freealg import NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct, x_alphabet
 from qserre.qfield import ONE, Q, QRat
+from qserre.rewrite import complete
 
 A2 = x_alphabet(2)
 
@@ -308,6 +309,37 @@ def test_verify_all_rank2_matches_golden(capsys):
     assert got == want
 
 
+RANK2_RULES = GOLDEN / "rules_verify_central.txt"
+DUMP = "<dump>"  # stands for a fresh --dump-rules path; its bytes are compared
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("hilbert", "--rank", "3", "--max-degree", "8", "--output", "structured"),
+     "hilbert_rank3_structured.jsonl"),
+    (("normal-form", "x3*x2*x2*x1 - x1*x2*x3*x2", "--rank", "3"),
+     "normal_form_x_rank3.txt"),
+    (("normal-form", "e2*chi2*e1*chi1 + s*chi2*e1", "--rank", "2"),
+     "normal_form_chi_e_rank2.txt"),
+    (("verify", "chie", "--rank", "2", "--output", "structured"),
+     "verify_chie_rank2.jsonl"),
+    (("hilbert", "--rank", "3", "--dump-rules", DUMP), "rules_hilbert_rank3.txt"),
+    (("verify", "central", "--dump-rules", DUMP), "rules_verify_central.txt"),
+    (("normal-form", "e1 chi1", "--dump-rules", DUMP),
+     "rules_normal_form_chi_e.txt"),
+])
+def test_output_matches_golden(tmp_path, capsys, argv, golden):
+    # recorded before the rule-set path was unified, with millis set to 0:
+    # stdout, or the bytes of the dumped rule file
+    dump = tmp_path / "rules.txt"
+    code, out, _ = run(capsys, *(str(dump) if a == DUMP else a for a in argv))
+    assert code == 0
+    want = (GOLDEN / golden).read_text()
+    if DUMP in argv:
+        assert dump.read_text() == want
+    else:
+        assert re.sub(r'"millis": [0-9.]+', '"millis": 0', out) == want
+
+
 # -- bad input: one error line and a documented exit code ------------------------
 
 def _one_error_line(code, out, err, want_code, phrase):
@@ -330,6 +362,17 @@ def _one_error_line(code, out, err, want_code, phrase):
     (("hilbert", "--rank", "0"), "needs rank >= 1"),
     (("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
      "need lam, mu >= nu"),
+    # a grid with no check is not a pass
+    (("verify", "lemma", "--lambda-max", "0"), "suite 'lemma' has no check"),
+    (("verify", "ayb", "--lambda-max", "-1"), "suite 'ayb' has no check"),
+    (("verify", "qq", "--lambda-max", "-1"), "suite 'qq' has no check"),
+    (("verify", "all", "--lambda-max", "0"), "suite 'lemma' has no check"),
+    (("hilbert", "--max-degree", "-1"), "--max-degree -1 is negative"),
+    # a rank-2 x rule file where the command works over another alphabet
+    (("hilbert", "--rank", "3", "--rules", str(RANK2_RULES)), "holds rules over"),
+    (("normal-form", "e1 chi1", "--rules", str(RANK2_RULES)), "holds rules over"),
+    (("verify", "central", "--rank", "3", "--rules", str(RANK2_RULES)),
+     "holds rules over"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
@@ -340,3 +383,57 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(IdealOracle, "slice_member", lambda self, s: False)
     _one_error_line(*run(capsys, "verify", "central"),
                     3, "rewrite and oracle disagree")
+
+
+# -- rule files: one path, checked for alphabet, degree and content ---------------
+
+RULES = pathlib.Path(__file__).parent / "rules"
+
+
+@pytest.mark.parametrize("suite", ["chie", "telescoping", "ratio"])
+@pytest.mark.parametrize("flag", ["--rules", "--dump-rules"])
+def test_rule_flags_without_a_rewriting_suite_exit_2(tmp_path, capsys, suite, flag):
+    path = tmp_path / "rules.txt"
+    _one_error_line(*run(capsys, "verify", suite, flag, str(path)),
+                    2, "no requested suite uses")
+    assert not path.exists()
+
+
+def test_unwritable_dump_path_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "no-such-dir" / "rules.txt")
+    _one_error_line(*run(capsys, "hilbert", "--dump-rules", path),
+                    2, "cannot write rules to")
+
+
+# each file fails exactly one of the three checks and passes the other two
+@pytest.mark.parametrize("name, rank, phrase", [
+    # ROADMAP's false file: x2 x1 -> x1 x2 reduces both relations to zero
+    # and has no overlaps, so only the oracle sees it is wrong
+    ("not_in_ideal.txt", "2", "oracle finds outside the ideal"),
+    # the rank-2 rules without x2 x2 x1: the second relation stays nonzero
+    ("relation_not_reduced.txt", "2", "do not reduce every defining relation"),
+    # raw rank-3 rules declared complete to degree 9
+    ("pair_unresolved.txt", "3", "critical pair unresolved"),
+])
+@pytest.mark.parametrize("command", [
+    ("normal-form", "x2*x1 - x1*x2"),
+    ("verify", "central", "--mode", "rewrite"),
+    ("hilbert",),
+])
+def test_rule_file_failing_a_content_check_exits_2(capsys, command, name, rank,
+                                                   phrase):
+    _one_error_line(*run(capsys, *command, "--rank", rank,
+                         "--rules", str(RULES / name)), 2, phrase)
+
+
+def test_verify_chie_completes_at_the_run_degree(capsys, monkeypatch):
+    import qserre.verify
+    degrees = []
+
+    def spy(rules, degree):
+        degrees.append((rules.alphabet.families, degree))
+        return complete(rules, degree)
+    monkeypatch.setattr(qserre.verify, "complete", spy)
+    code, _, _ = run(capsys, "verify", "chie", "--completion-degree", "7")
+    assert code == 0
+    assert degrees == [((("chi", 2), ("e", 2)), 7)]

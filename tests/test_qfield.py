@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qserre.qfield import ONE, Q, QPoly, QRat, S, ZERO, _pgcd, q_power, s_power
+from qserre.qfield import ONE, Q, QRat, S, ZERO, _pgcd, _pmul, _psub, q_power, s_power
 
 
 def test_normalization_cancels_common_factor():
@@ -43,14 +43,14 @@ def test_eval_denominator_vanishes():
 
 def test_denominator_positive_leading_coeff():
     r = ONE / (ONE - Q)
-    assert r.den.coeffs[-1] > 0
-    assert r.num.coeffs == (-1,)
+    assert r.den[-1] > 0
+    assert r.num == (-1,)
     assert ONE / (Q - ONE) == -r
 
 
 def test_common_content_removed():
     assert QRat(2, 4) == QRat(Fraction(1, 2))
-    assert QRat(2, 4).den.coeffs == (2,)
+    assert QRat(2, 4).den == (2,)
     assert QRat((2, 2), (4,)) == QRat((1, 1), (2,))
 
 
@@ -69,14 +69,6 @@ def test_str_forms():
     assert str(S ** 3) == "s^3"
     assert str(2 * Q ** 3 - 1) == "-1+2*q^3"
     assert str(ZERO) == "0"
-
-
-def test_qpoly_terms_invariant():
-    p = QPoly((0, 1, 0, -2))
-    assert p.terms == ((1, 1), (3, -2))
-    assert QPoly(()).terms == ()
-    assert QPoly(()).degree is None
-    assert p.degree == 3
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -109,7 +101,7 @@ def test_normalization_idempotent(a):
 
 @given(qrats(), qrats())
 def test_equality_matches_cross_multiplication(a, b):
-    cross_zero = (a.num * b.den - b.num * a.den) == QPoly(())
+    cross_zero = _psub(_pmul(a.num, b.den), _pmul(b.num, a.den)) == ()
     assert (a == b) == cross_zero
 
 

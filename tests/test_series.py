@@ -29,8 +29,8 @@ def q_adic_expansion(r: QRat, order: int):
     Independent of the series module: plain long division of the stored
     numerator by the denominator.
     """
-    num = list(r.num.coeffs) + [0] * (order + 1)
-    den = r.den.coeffs
+    num = list(r.num) + [0] * (order + 1)
+    den = r.den
     assert den[0] != 0, "not expandable at s=0"
     out = []
     state = [Fraction(c) for c in num[:order + 1]]
