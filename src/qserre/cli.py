@@ -113,6 +113,9 @@ def _rule_set(args, raw, need):
     degree = args.completion_degree
     if degree is None:
         degree = max(8, need)
+    elif degree < 3:
+        raise ValueError("--completion-degree %d is below 3, the least "
+                         "degree completion accepts" % degree)
     elif degree < need:
         raise ValueError("completion degree %d is below the computed "
                          "requirement %d" % (degree, need))
@@ -242,7 +245,9 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
         for gen in v.alphabet.letters:
             for lam, mu, nu in _grid_triples(args):
                 yield v.check_telescoping(gen, lam, mu, nu)
-            for lam in range(args.lambda_max + 1):
+            lams = ([args.lam] if args.lam is not None
+                    else range(args.lambda_max + 1))
+            for lam in lams:
                 for mu in range(lam + 1):
                     yield v.check_factor_commutation(gen, lam, mu)
     elif suite == "lemma":

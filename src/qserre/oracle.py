@@ -9,7 +9,9 @@ All defining relations preserve the multiset of letters in a word, so
 each homogeneous component splits further into multidegree blocks that
 are decided separately; the elimination never sees more than a few
 hundred columns.  Elimination is fraction-free over Z[s]: coefficients
-stay integer polynomials, with no Q(s) division.
+stay integer polynomials, with no Q(s) division.  A vector being
+reduced sheds only its integer content after each step; the polynomial
+content, which takes gcds, comes out once, when a row is stored.
 
 The randomized precheck specializes s at rational points and runs this
 same blockwise elimination over Q, on an oracle built once per point and
@@ -88,12 +90,14 @@ class _Echelon:
     """Fraction-free row space over Z[s], pivoted by largest word.
 
     Rows are dicts word -> integer polynomial (a coefficient tuple in s),
-    each divided by its polynomial and integer content.  An input vector
-    of QRat entries is scaled once by the lcm of its denominators; each
-    reduction step then cross-multiplies by the two leading entries over
-    their gcd (Bareiss-style), so no field element is formed.  Scaling a
-    row by a nonzero factor leaves the row space, hence rank and
-    membership, unchanged.
+    each divided by its polynomial and integer content when it is stored.
+    An input vector of QRat entries is scaled once by the lcm of its
+    denominators; each reduction step then cross-multiplies by the two
+    leading entries over their gcd (Bareiss-style), so no field element
+    is formed, and removes only the integer content: the polynomial
+    content costs a gcd per entry, and many vectors reduce to zero, where
+    it is never needed.  Scaling a row by a nonzero factor leaves the row
+    space, hence rank and membership, unchanged.
     """
 
     __slots__ = ("pivots",)
@@ -103,7 +107,7 @@ class _Echelon:
 
     def residue(self, vec):
         """Reduced multiple of vec over Z[s]; its lead word, or None if zero."""
-        vec = _strip_content(_clear_denominators(vec))
+        vec = _strip_integer_content(_clear_denominators(vec))
         pivots = self.pivots
         while vec:
             lead = max(vec)
@@ -128,7 +132,7 @@ class _Echelon:
                     vec[w] = v
                 elif w in vec:
                     del vec[w]
-            vec = _strip_content(vec)
+            vec = _strip_integer_content(vec)
         return vec, None
 
     def insert(self, vec) -> bool:
@@ -136,7 +140,7 @@ class _Echelon:
         res, lead = self.residue(vec)
         if lead is None:
             return False
-        self.pivots[lead] = res
+        self.pivots[lead] = _strip_content(res)
         return True
 
     @property
@@ -159,9 +163,8 @@ def _clear_denominators(vec):
 
 
 def _strip_content(vec):
-    """Divide an integer-polynomial vector by its polynomial, then integer, content."""
-    if not vec:
-        return vec
+    """Divide a nonzero integer-polynomial vector by its polynomial, then
+    integer, content."""
     # start from the shortest entry: a constant ends the search at once
     g = min(vec.values(), key=len)
     for v in vec.values():
@@ -172,6 +175,11 @@ def _strip_content(vec):
     if len(g) > 1:
         g = _primitive(g)
         vec = {w: _pdivmod_exact(v, g) for w, v in vec.items()}
+    return _strip_integer_content(vec)
+
+
+def _strip_integer_content(vec):
+    """Divide an integer-polynomial vector by its integer content."""
     k = 0
     for v in vec.values():
         k = _int_gcd(k, _int_content(v))
@@ -200,6 +208,7 @@ class IdealOracle:
             self._rel_contents.append(next(iter(contents)))
         self._blocks = {}
         self._points = {}  # s-point -> specialized oracle, None if inadmissible
+        self._draws = {}  # seed -> the longest random_points list drawn for it
 
     def _block(self, content) -> _Echelon:
         """Echelon basis of the ideal's slice with the given letter counts."""
@@ -254,6 +263,13 @@ class IdealOracle:
             self._points[pt] = (None if rels is None or any(r.is_zero for r in rels)
                                 else IdealOracle(self.alphabet, rels))
         return self._points[pt]
+
+    def sample_points(self, count: int, seed) -> list:
+        """random_points(count, seed) or a longer draw of that seed, kept."""
+        pts = self._draws.get(seed, ())
+        if len(pts) < count:
+            pts = self._draws[seed] = random_points(count, seed)
+        return pts
 
     def quotient_dimension(self, degree: int) -> int:
         """dim of the degree component of the quotient algebra."""
@@ -322,8 +338,9 @@ def randomized_precheck(p: NcPoly, oracle: IdealOracle, points: int = 3,
     random_points, and each specialized slice goes through the same
     blockwise membership test as the exact oracle, over Q.  A point where
     a denominator or a whole relation vanishes is discarded and the next
-    one drawn.  The specialized oracles, with their block echelons, are
-    kept on the exact oracle, so repeated calls reuse them.
+    one drawn.  The points drawn for each seed and the specialized
+    oracles, with their block echelons, are kept on the exact oracle, so
+    repeated calls reuse them.
     """
     if p.is_zero:
         return True
@@ -331,7 +348,7 @@ def randomized_precheck(p: NcPoly, oracle: IdealOracle, points: int = 3,
     while done < points:
         if i == len(pts):
             # the same seed extends the same sequence
-            pts = random_points(len(pts) + points - done, seed)
+            pts = oracle.sample_points(len(pts) + points - done, seed)
         pt = pts[i]
         i += 1
         spec = oracle.at_point(pt)

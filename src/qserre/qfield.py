@@ -47,6 +47,12 @@ def _psub(a, b):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    # most products in the oracle and in QRat have a constant operand
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -245,11 +251,7 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if b == d:
-            return QRat._raw(*_normalize(_padd(a, c), b))
-        return QRat._raw(*_normalize(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)))
+        return _henrici_sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -257,11 +259,7 @@ class QRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        if b == d:
-            return QRat._raw(*_normalize(_psub(a, c), b))
-        return QRat._raw(*_normalize(_psub(_pmul(a, d), _pmul(c, b)), _pmul(b, d)))
+        return _henrici_sum(self.num, self.den, _pneg(other.num), other.den)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -289,7 +287,9 @@ class QRat:
             g2 = _pgcd(c, b)
             if len(g2) > 1:
                 c, b = _pdivmod_exact(c, g2), _pdivmod_exact(b, g2)
-        return QRat._raw(*_normalize(_pmul(a, c), _pmul(b, d)))
+        # a/b and c/d are reduced and both cross gcds are out: the product
+        # shares no polynomial factor, only integer content
+        return QRat._raw(*_unit_normalize(_pmul(a, c), _pmul(b, d)))
 
     __rmul__ = __mul__
 
@@ -391,7 +391,14 @@ def _normalize(n, d):
     g = _pgcd(n, d)
     if len(g) > 1:
         n, d = _pdivmod_exact(n, g), _pdivmod_exact(d, g)
-    # common integer content
+    return _unit_normalize(n, d)
+
+
+def _unit_normalize(n, d):
+    """Remove the common integer content of n/d and make d's lead positive.
+
+    n must be nonzero, and n and d must share no polynomial factor.
+    """
     cg = _int_gcd(_content(n), _content(d))
     if d[-1] < 0:
         cg = -cg
@@ -399,6 +406,29 @@ def _normalize(n, d):
         n = tuple(c // cg for c in n)
         d = tuple(c // cg for c in d)
     return n, d
+
+
+def _henrici_sum(a, b, c, d):
+    """a/b + c/d for reduced operands, with one gcd on the small factor.
+
+    Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(b, d),
+    t = a*(d/g) + c*(b/g) can share a factor with b*d/g only inside g,
+    so gcd(t, g) is the one gcd the sum needs; g = 1 needs none.
+    """
+    if b == d:
+        g, bg, dg = b, (1,), (1,)
+    else:
+        g = _pgcd(b, d)
+        bg, dg = ((b, d) if len(g) == 1
+                  else (_pdivmod_exact(b, g), _pdivmod_exact(d, g)))
+    t = _padd(_pmul(a, dg), _pmul(c, bg))
+    if not t:
+        return ZERO
+    if len(g) > 1:
+        g2 = _pgcd(t, g)
+        if len(g2) > 1:
+            t, g = _pdivmod_exact(t, g2), _pdivmod_exact(g, g2)
+    return QRat._raw(*_unit_normalize(t, _pmul(_pmul(bg, dg), g)))
 
 
 ZERO = QRat(0)

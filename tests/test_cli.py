@@ -204,6 +204,18 @@ def test_verify_telescoping_text_mode(capsys):
     assert "summary:" in out and " 0 failed" in out
 
 
+def test_verify_telescoping_one_window_runs_only_its_factor_orders(capsys):
+    code, out, _ = run(capsys, "verify", "telescoping", "--lambda", "1",
+                       "--lambda-max", "3", "--output", "structured")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    factor = [r["params"] for r in recs if r["suite"] == "factor-order"]
+    # gens x1, x2 at lam = 1, mu in 0..1; --lambda-max plays no part
+    assert sorted((p["gen"], p["lam"], p["mu"]) for p in factor) == [
+        ("x1", 1, 0), ("x1", 1, 1), ("x2", 1, 0), ("x2", 1, 1)]
+    assert sum(r["suite"] == "telescoping" for r in recs) == 2
+
+
 # -- hilbert command ----------------------------------------------------------
 
 def test_hilbert_rank2(capsys):
@@ -326,6 +338,9 @@ DUMP = "<dump>"  # stands for a fresh --dump-rules path; its bytes are compared
     (("verify", "central", "--dump-rules", DUMP), "rules_verify_central.txt"),
     (("normal-form", "e1 chi1", "--dump-rules", DUMP),
      "rules_normal_form_chi_e.txt"),
+    # recorded before the gcd work in Q(s) sums and echelon rows was cut
+    (("verify", "all", "--rank", "3", "--lambda-max", "2", "--output",
+      "structured"), "verify_all_rank3_lam2.jsonl"),
 ])
 def test_output_matches_golden(tmp_path, capsys, argv, golden):
     # recorded before the rule-set path was unified, with millis set to 0:
@@ -373,6 +388,9 @@ def _one_error_line(code, out, err, want_code, phrase):
     (("normal-form", "e1 chi1", "--rules", str(RANK2_RULES)), "holds rules over"),
     (("verify", "central", "--rank", "3", "--rules", str(RANK2_RULES)),
      "holds rules over"),
+    # completion needs degree 3; the message names the flag
+    (("normal-form", "x1", "--completion-degree", "2"),
+     "--completion-degree 2 is below 3"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

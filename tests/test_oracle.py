@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qserre.oracle as oracle_module
-from qserre.qfield import ONE, Q, S, QRat, q_power
+from qserre.qfield import ONE, Q, S, QRat, _content, _pgcd, q_power
 from qserre.freealg import NcPoly, chi_e_alphabet, chi_e_relations, serre_relations, x_alphabet
 from qserre.oracle import (
     IdealOracle, random_points, randomized_precheck, split_homogeneous,
@@ -165,6 +166,20 @@ def test_echelon_rows_are_integer_polynomials():
     assert not oracle.member(rel + (x1 * x2 * x1).scale(QRat(2, 3)), 8).member
 
 
+def test_stored_rows_are_primitive():
+    # reduction sheds only integer content; each stored row must still come
+    # out with polynomial content 1 and integer content 1
+    ech = IdealOracle(A3, RELS3)._block((2, 3, 2))
+    assert ech.rank == 197
+    for row in ech.pivots.values():
+        entries = list(row.values())
+        g = entries[0]
+        for v in entries[1:]:
+            g = _pgcd(g, v)
+        assert g == (1,)
+        assert math.gcd(*(_content(v) for v in entries)) == 1
+
+
 # -- the precheck: the exact oracle's blocks at specialized points -------------
 
 PRECHECK_ORACLES = (IdealOracle(A2, RELS2), IdealOracle(A3, RELS3),
@@ -245,3 +260,18 @@ def test_precheck_discards_inadmissible_points():
     assert oracle._points[Fraction(2, 3)] is None
     with pytest.raises(ValueError):
         randomized_precheck(RELS2[0] * x1, oracle, 182, 0)
+
+
+def test_precheck_draws_points_once_per_seed(monkeypatch):
+    x1, x2 = gens(A2)
+    oracle = IdealOracle(A2, RELS2)
+    draws = []
+    real = oracle_module.random_points
+    monkeypatch.setattr(oracle_module, "random_points",
+                        lambda count, seed: draws.append(seed) or real(count, seed))
+    assert not randomized_precheck(x1 * x2, oracle, 3, 5)
+    assert draws == [5]  # control: a cold oracle draws
+    assert randomized_precheck(RELS2[0] * x1, oracle, 3, 5)
+    assert not randomized_precheck(x1 * x2, oracle, 2, 5)
+    assert draws == [5]
+    assert oracle.sample_points(3, 5) == real(3, 5)

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from qserre.qfield import ONE, Q, QRat, S, ZERO, _pgcd, _pmul, _psub, q_power, s_power
+from qserre.qfield import (
+    ONE, Q, QRat, S, ZERO, _content, _normalize, _padd, _pgcd, _pmul, _psub,
+    q_power, s_power,
+)
 
 
 def test_normalization_cancels_common_factor():
@@ -194,3 +197,72 @@ def test_pgcd_matches_reference_prs(a, b, common):
     ac, bc = tuple(_ref_mul(a, common)), tuple(_ref_mul(b, common))
     assert _pgcd(ac, bc) == _ref_gcd(ac, bc)
 
+
+
+# -- sums and products against the plain cross-multiplied form -----------------
+
+# factors that denominators share: 1-q, 1+q, 1-s, s, 1+s, 2+q, s^3-1
+FACTORS = ((1, 0, -1), (1, 0, 1), (1, -1), (0, 1), (1, 1), (2, 0, 1), (-1, 0, 0, 1))
+scalars = st.sampled_from((1, -1, 2, -2, 3, -6))
+
+
+def _product(factors, scalar, base=(1,)):
+    out = tuple(scalar * c for c in base)
+    for f in factors:
+        out = _pmul(out, f)
+    return out
+
+
+shared = st.builds(
+    lambda nf, nb, ns, df, ds: QRat(_product(nf, ns, tuple(nb)), _product(df, ds)),
+    st.lists(st.sampled_from(FACTORS), max_size=2),
+    st.lists(small, min_size=1, max_size=3).filter(any),
+    scalars,
+    st.lists(st.sampled_from(FACTORS), max_size=3),
+    scalars,
+)
+
+
+def _pair(a, c, how):
+    if how == "free":
+        return a, c
+    if how == "same":
+        return a, a
+    if how == "negated":
+        return a, QRat(tuple(-x for x in a.num), a.den)
+    # b = c - a, built without QRat arithmetic: a + b must cancel down to c
+    return a, QRat(_psub(_pmul(c.num, a.den), _pmul(a.num, c.den)), _pmul(c.den, a.den))
+
+
+pairs = st.builds(_pair, shared, shared,
+                  st.sampled_from(("free", "same", "negated", "cancels")))
+
+
+def _assert_canonical(r):
+    n, d = r.num, r.den
+    assert d and d[-1] > 0 and (not n or n[-1])
+    if not n:
+        assert d == (1,)
+        return
+    assert len(_pgcd(n, d)) == 1
+    assert math.gcd(_content(n), _content(d)) == 1
+
+
+@given(pairs)
+# 2/(1-q^2) - 1/(1-q) = (1-q)/(1-q^2): the gcd of t against g = 1-q cancels
+@example((QRat(2, (1, 0, 0, 0, -1)), QRat(-1, (1, 0, -1))))
+# equal denominators: 1/(1-q) - q/(1-q) = 1
+@example((QRat(1, (1, 0, -1)), QRat((0, 0, -1), (1, 0, -1))))
+# integer content: 1/(2+2q) + 1/(2-2q) = 1/(1-q^2)
+@example((QRat(1, (2, 0, 2)), QRat(1, (2, 0, -2))))
+def test_sum_difference_product_match_plain_normalize(pair):
+    a, b = pair
+    cross = _pmul(a.den, b.den)
+    want = {
+        "+": _normalize(_padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), cross),
+        "-": _normalize(_psub(_pmul(a.num, b.den), _pmul(b.num, a.den)), cross),
+        "*": _normalize(_pmul(a.num, b.num), cross),
+    }
+    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert (got.num, got.den) == want[op], op
+        _assert_canonical(got)

@@ -1,5 +1,7 @@
 import pytest
 
+import qserre.oracle as oracle_module
+import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, q_power
 from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
@@ -334,3 +336,32 @@ def test_chi_e_partial_oracle_cap_notes_skip_and_runs_oracle():
 def test_chi_e_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ChiEVerifier(2, mode="bogus")
+
+
+# -- work-count guard: gcd work in Q(s) and in the oracle's echelons -----------
+
+def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
+    # one qq check at rank 3 on completed rules: before Henrici sums, coprime
+    # products without a final gcd, and row content taken only on store, it
+    # made 108,386 _pgcd and 46,939 _prem calls; with them 43,228 and 5,157.
+    # A full gcd on every product gives 50,399 _pgcd calls, and content
+    # removal after every elimination step 101,796 and 46,916.
+    v = Verifier(3)
+    v.rules
+    calls = {"pgcd": 0, "prem": 0}
+    pgcd, prem = qfield_module._pgcd, qfield_module._prem
+
+    def counting_pgcd(a, b):
+        calls["pgcd"] += 1
+        return pgcd(a, b)
+
+    def counting_prem(a, b):
+        calls["prem"] += 1
+        return prem(a, b)
+
+    monkeypatch.setattr(qfield_module, "_pgcd", counting_pgcd)
+    monkeypatch.setattr(oracle_module, "_pgcd", counting_pgcd)
+    monkeypatch.setattr(qfield_module, "_prem", counting_prem)
+    assert v.check_qq(2, 1, 0).passed
+    assert calls["pgcd"] <= 46000
+    assert calls["prem"] <= 6000
