@@ -197,6 +197,13 @@ class QRat:
     and no integer content, and the denominator has a positive leading
     coefficient.  Equality and hashing are structural, which the
     canonical form makes equivalent to field equality.
+
+    Arithmetic keeps the form with as few polynomial gcds as it can
+    (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  A sum takes g = gcd(b, d) of
+    the denominators and then one gcd of the new numerator against g,
+    none when g = 1.  A product cancels the two cross gcds first; the
+    product of the remaining parts is then coprime and needs only its
+    integer content removed.
     """
 
     __slots__ = ("num", "den")
