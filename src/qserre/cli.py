@@ -280,8 +280,7 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
             yield check_ratio_identity(mu, lam, RATIO_CUTOFF)
     else:  # ayb-formal
         for n in range(1, rank):
-            yield check_ayb_formal(n, FORMAL_CUTOFF, rank=rank, rules=v.rules,
-                                   specializations=3, seed=args.seed)
+            yield check_ayb_formal(v, n, FORMAL_CUTOFF)
 
 
 def cmd_verify(args) -> int:

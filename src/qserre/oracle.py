@@ -305,6 +305,7 @@ def _compositions(total, parts):
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+DISTINCT_POINTS = len(_PRIMES) * (len(_PRIMES) - 1)  # ordered pairs a/b, a != b
 
 
 def random_points(count: int, seed) -> list:
@@ -312,9 +313,9 @@ def random_points(count: int, seed) -> list:
 
     A longer list from the same seed extends the shorter one.
     """
-    if count > len(_PRIMES) * (len(_PRIMES) - 1):
+    if count > DISTINCT_POINTS:
         raise ValueError("only %d distinct sample points exist"
-                         % (len(_PRIMES) * (len(_PRIMES) - 1)))
+                         % DISTINCT_POINTS)
     rng = random.Random(seed)
     pts = []
     while len(pts) < count:

@@ -8,21 +8,20 @@ the parameters is ever needed because every series here has constant
 term 1.
 
 The extrapolated exchange relation is checked order by order in the
-x-degree: the rewrite path reduces each slice with the parameters kept
-formal (so the verdict is identical in them), and the oracle path
-re-decides membership after specializing the parameters at generic
-rational points.
+x-degree and exactly in the parameters: they are central and absent from
+the relations, so a difference lies in the ideal identically in L, M, N
+exactly when the coefficient of every parameter monomial does, and each
+coefficient goes through the caller's Verifier.decide.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
-from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, serre_relations, x_alphabet
-from qserre.oracle import IdealOracle, random_points
+from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
 from qserre.qfield import ONE, QRat, ZERO, q_power
-from qserre.rewrite import base_rules, complete
-from qserre.verify import VerificationReport, MethodDisagreement
+from qserre.verify import VerificationReport, _combined
 
 PARAM_NAMES = ("L", "M", "N")
 
@@ -330,65 +329,41 @@ def check_ratio_identity(mu: int, lam: int, cutoff: int = 6) -> VerificationRepo
         diff.poly.is_zero, diff.poly, ("series",), millis)
 
 
-def formal_r_matrix(alphabet, gen: str, upper: ParamPoly, lower: ParamPoly,
-                    cutoff: int) -> TruncatedSeries:
-    """R(upper, lower) = (gen*upper)_inf / (gen*lower)_inf, windows formal."""
-    return ratio_series(alphabet, gen, upper, lower, cutoff)
-
-
 def formal_ayb_sides(alphabet, n: int, cutoff: int):
     """The two sides of the exchange relation with formal central windows."""
     lo, hi = "x%d" % n, "x%d" % (n + 1)
 
     def R(gen, up, low):
-        return formal_r_matrix(alphabet, gen, up, low, cutoff)
+        return ratio_series(alphabet, gen, up, low, cutoff)
 
     lhs = R(hi, M, L) * R(lo, N, L) * R(hi, N, M)
     rhs = R(lo, N, M) * R(hi, N, L) * R(lo, M, L)
     return lhs, rhs
 
 
-def check_ayb_formal(n: int = 1, cutoff: int = 4, rank: int = None,
-                     rules=None, specializations: int = 3,
-                     seed: int = 0) -> VerificationReport:
+def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
     """Exchange relation for series R-matrices, order by order in x-degree.
 
-    The rewrite residual of every slice must vanish with the parameters
-    kept formal.  As independent evidence the slices are re-decided by
-    the membership oracle after specializing (L, M, N) at generic
-    rational points, and integer specializations must reproduce the
-    finite-window polynomials exactly.
+    The difference is split by parameter monomial and each coefficient is
+    decided by v.decide, with v's mode, oracle cap and rules; the report
+    passes when every coefficient is a member, which is membership
+    identically in L, M, N.  Integer specializations of the parameters
+    must also reproduce the finite-window polynomials exactly.
     """
     t0 = time.perf_counter()
-    if rank is None:
-        rank = n + 1
-    alphabet = x_alphabet(rank)
-    if rules is None:
-        rules = complete(base_rules(rank), max(3, cutoff))
-    notes = []
+    alphabet = v.alphabet
     lhs, rhs = formal_ayb_sides(alphabet, n, cutoff)
-    diff = lhs - rhs
+    diff = (lhs - rhs).poly
+    monomials = sorted({e for c in diff.terms.values() for e in c.terms})
+    # the coefficient of L^a M^b N^c, for each exponent e = (a, b, c); a zero
+    # difference is still decided once, so the report names the methods
+    reports = [v.decide("ayb-formal", (("n", n), ("monomial", e)),
+                        diff.map_coefficients(lambda c: c.terms.get(e, ZERO)))
+               for e in monomials or [(0, 0, 0)]]
+    notes = ["exact in L, M, N: %d parameter monomials decided" % len(monomials)]
+    notes += sorted({note for r in reports for note in r.notes})
 
-    # path 1: reduce with formal parameters; zero means identically in them
-    residual = rules.reduce(diff.poly)
-    formal_ok = residual.is_zero
-    if cutoff > rules.completed_degree:
-        notes.append("degree exceeds certified completion bound")
-
-    # path 2: oracle membership at generic rational specializations
-    oracle = IdealOracle(alphabet, serre_relations(alphabet))
-    pts = random_points(3 * specializations, seed)
-    oracle_ok = True
-    for i in range(specializations):
-        vals = {j: QRat(pts[3 * i + j]) for j in range(3)}
-        spec = diff.map_coefficients(lambda c: c.substitute(vals)).to_qrat_poly()
-        if not oracle.member(spec, max(cutoff, 3)).member:
-            oracle_ok = False
-            break
-    notes.append("%d rational specializations of the central parameters"
-                 % specializations)
-
-    # path 3: integer windows reproduce the finite products before truncation
+    # integer windows reproduce the finite products before truncation
     integer_ok = True
     for lam, mu, nu in ((2, 1, 0), (3, 2, 1), (3, 1, 0)):
         vals = {0: q_power(lam), 1: q_power(mu), 2: q_power(nu)}
@@ -401,15 +376,8 @@ def check_ayb_formal(n: int = 1, cutoff: int = 4, rank: int = None,
             integer_ok = False
             break
     notes.append("integer-window specialization consistency checked")
-
-    # a member must stay a member under every specialization; the converse
-    # direction is only probabilistic, so it refutes without contradicting
-    if formal_ok and not oracle_ok:
-        raise MethodDisagreement("formal exchange: paths disagree at n=%d" % n)
-    passed = formal_ok and oracle_ok and integer_ok
     if not integer_ok:
         notes.append("integer specialization mismatch")
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        "ayb-formal", (("n", n), ("rank", rank), ("D", cutoff)),
-        passed, residual, ("rewrite", "specialize"), millis, tuple(notes))
+    report = _combined("ayb-formal", (("n", n), ("rank", v.rank), ("D", cutoff)),
+                       reports, alphabet, t0, tuple(notes))
+    return replace(report, passed=report.passed and integer_ok)

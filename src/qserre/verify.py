@@ -20,7 +20,9 @@ from qserre.freealg import (
     chi_e_relations, k_element, lemma_product, qproduct, serre_relations,
     x_alphabet,
 )
-from qserre.oracle import IdealOracle, randomized_precheck, split_homogeneous
+from qserre.oracle import (
+    DISTINCT_POINTS, IdealOracle, randomized_precheck, split_homogeneous,
+)
 from qserre.qfield import ONE, q_power
 from qserre.rewrite import RuleSet, base_rules, chi_e_rules, complete
 
@@ -71,6 +73,10 @@ class Verifier:
                  precheck_points: int = 2, seed: int = 0, rules=None):
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
+        if not 0 <= precheck_points <= DISTINCT_POINTS:
+            raise ValueError("%d precheck points is outside 0..%d, the "
+                             "number of distinct points a precheck can draw"
+                             % (precheck_points, DISTINCT_POINTS))
         self.rank = rank
         self.alphabet = self.alphabet_for(rank)
         self.completion_degree = completion_degree

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -198,6 +199,30 @@ def test_verify_ayb_formal_suite(capsys):
     assert "ayb-formal" in out
 
 
+def test_verify_ayb_formal_draws_no_random_point(capsys, monkeypatch):
+    from qserre import oracle
+    real = oracle.random_points
+
+    def boom(*args):
+        raise AssertionError("a random point was drawn")
+
+    # every module that bound the function by name
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qserre") and getattr(mod, "random_points", None) is real:
+            monkeypatch.setattr(mod, "random_points", boom)
+    code, out, _ = run(capsys, "verify", "ayb-formal", "--rank", "3")
+    assert code == 0 and "summary: 2 checks, 0 failed" in out
+
+
+@pytest.mark.parametrize("mode", ["oracle", "rewrite"])
+def test_verify_ayb_formal_follows_the_mode(capsys, mode):
+    code, out, _ = run(capsys, "verify", "ayb-formal", "--mode", mode,
+                       "--output", "structured")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and recs
+    assert all(r["method"] == mode and r["pass"] for r in recs)
+
+
 def test_verify_telescoping_text_mode(capsys):
     code, out, _ = run(capsys, "verify", "telescoping", "--lambda-max", "2")
     assert code == 0
@@ -391,6 +416,18 @@ def _one_error_line(code, out, err, want_code, phrase):
     # completion needs degree 3; the message names the flag
     (("normal-form", "x1", "--completion-degree", "2"),
      "--completion-degree 2 is below 3"),
+    # ayb-formal honours the oracle cap like every other suite
+    (("verify", "ayb-formal", "--mode", "oracle", "--oracle-cap", "2"),
+     "exceeds the oracle cap 2"),
+    # the precheck points are checked whether or not a precheck runs
+    (("verify", "lemma", "--lambda", "2", "--mode", "oracle",
+      "--precheck-points", "500"), "500 precheck points is outside 0..182"),
+    (("verify", "lemma", "--lambda", "1", "--mode", "oracle",
+      "--precheck-points", "500"), "500 precheck points is outside 0..182"),
+    (("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
+     "500 precheck points is outside 0..182"),
+    (("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
+     "-1 precheck points is outside 0..182"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

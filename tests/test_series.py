@@ -4,10 +4,12 @@ import pytest
 
 from qserre.qfield import ONE, Q, QRat, q_power
 from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
+from qserre import series
 from qserre.series import (
     L, M, N, ParamPoly, TruncatedSeries, check_ayb_formal, check_ratio_identity,
     formal_ayb_sides, pochhammer_inf, ratio_series, series_inverse,
 )
+from qserre.verify import Verifier
 
 A1 = x_alphabet(1)
 A2 = x_alphabet(2)
@@ -148,20 +150,61 @@ def test_formal_sides_lambda_equals_mu():
     assert l2 == r2  # equal as raw series, no ideal needed
 
 
-def test_ayb_formal_order_one():
-    assert check_ayb_formal(1, 1).passed
+@pytest.fixture(scope="module")
+def v2():
+    return Verifier(2, completion_degree=5)
 
 
-def test_ayb_formal_default():
-    r = check_ayb_formal(1, 4)
+def test_ayb_formal_order_one(v2):
+    r = check_ayb_formal(v2, 1, 1)
+    assert r.passed
+    # the difference vanishes below degree 3, and is still decided once
+    assert r.methods == ("rewrite", "oracle")
+
+
+def test_ayb_formal_default(v2):
+    r = check_ayb_formal(v2, 1, 4)
     assert r.passed
     assert r.residual.is_zero
-    assert "rewrite" in r.methods and "specialize" in r.methods
+    assert r.methods == ("rewrite", "oracle")
 
 
 def test_ayb_formal_higher_pair():
-    r = check_ayb_formal(2, 3, rank=3)
+    r = check_ayb_formal(Verifier(3, completion_degree=3), 2, 3)
     assert r.passed
+
+
+@pytest.mark.parametrize("cutoff, monomials", [(4, 18), (5, 36)])
+def test_ayb_formal_decides_each_parameter_monomial(v2, monkeypatch, cutoff,
+                                                    monomials):
+    seen = []
+    real = Verifier.decide
+
+    def spy(self, identity, params, diff, notes=()):
+        seen.append(dict(params)["monomial"])
+        return real(self, identity, params, diff, notes)
+
+    monkeypatch.setattr(Verifier, "decide", spy)
+    r = check_ayb_formal(v2, 1, cutoff)
+    assert r.passed
+    assert len(seen) == len(set(seen)) == monomials
+    assert ("exact in L, M, N: %d parameter monomials decided" % monomials
+            in r.notes)
+
+
+def test_ayb_formal_refuses_a_perturbed_coefficient(v2, monkeypatch):
+    real = series.formal_ayb_sides
+
+    def perturbed(alphabet, n, cutoff):
+        lhs, rhs = real(alphabet, n, cutoff)
+        word = tuple(alphabet.index(g) for g in ("x1", "x2", "x1", "x2"))
+        return lhs + TruncatedSeries(NcPoly(alphabet, {word: L}), cutoff), rhs
+
+    monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
+    r = check_ayb_formal(v2, 1, 4)
+    assert not r.passed
+    # the residual comes from the decided L coefficient, not the integer check
+    assert not r.residual.is_zero
 
 
 def test_param_poly_algebra():

@@ -338,6 +338,16 @@ def test_chi_e_rejects_unknown_mode():
         ChiEVerifier(2, mode="bogus")
 
 
+@pytest.mark.parametrize("points, ok", [(0, True), (182, True), (183, False)])
+def test_precheck_points_lie_in_the_drawable_range(points, ok):
+    # 182 = oracle.DISTINCT_POINTS, the most random_points can draw
+    if ok:
+        assert Verifier(2, precheck_points=points).precheck_points == points
+    else:
+        with pytest.raises(ValueError, match="outside 0..182"):
+            Verifier(2, precheck_points=points)
+
+
 # -- work-count guard: gcd work in Q(s) and in the oracle's echelons -----------
 
 def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
