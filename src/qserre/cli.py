@@ -18,6 +18,7 @@ import re
 import sys
 
 from qserre.exprparse import ParseError, parse_expression
+from qserre.freealg import chi_e_braiding, serre_braiding
 from qserre.oracle import IdealOracle
 from qserre.rewrite import (
     base_rules, chi_e_rules, complete, critical_pair_residuals, dump_rules,
@@ -45,7 +46,9 @@ def build_parser():
     shared.add_argument("--completion-degree", type=int, default=None,
                         help="confluence certification bound; default is "
                              "the computed estimate, at least 8")
-    shared.add_argument("--oracle-cap", type=int, default=8)
+    shared.add_argument("--oracle-cap", type=int, default=None,
+                        help="highest slice degree the oracle decides; "
+                             "default no cap")
     shared.add_argument("--mode", choices=("rewrite", "oracle", "both"),
                         default="both")
     shared.add_argument("--precheck-points", type=int, default=2)
@@ -157,13 +160,17 @@ def _check_loaded(rules, raw, path):
     Bergman's diamond lemma: the rules must generate the ideal of the
     defining relations (each relation reduces to zero, each rule is a
     member) and every overlap within the declared degree must resolve.
+    Membership is decided by the quantum symmetrizer of the
+    presentation's braiding.
     """
     if not all(rules.reduce(r.as_poly()).is_zero for r in raw.rules):
         raise ValueError("rules in %s do not reduce every defining "
                          "relation to zero" % path)
-    oracle = IdealOracle(raw.alphabet, [r.as_poly() for r in raw.rules])
-    cap = max((len(r.lhs) for r in rules.rules), default=0)
-    if not all(oracle.member(r.as_poly(), cap).member for r in rules.rules):
+    braiding = (chi_e_braiding if raw.alphabet.families[0][0] == "chi"
+                else serre_braiding)
+    oracle = IdealOracle(raw.alphabet, [r.as_poly() for r in raw.rules],
+                         braiding)
+    if not all(oracle.member(r.as_poly()).member for r in rules.rules):
         raise ValueError("rules in %s include a rule the oracle finds "
                          "outside the ideal" % path)
     if any(not res.is_zero for _, res in

@@ -420,3 +420,39 @@ def chi_e_relations(alphabet: Alphabet) -> list:
             cn = NcPoly.generator(alphabet, "chi%d" % n)
             rels.append(em * cn - cn * em)
     return rels
+
+
+# ---------------------------------------------------------------------------
+# braidings: the diagonal-type character chi whose quantum symmetrizer has
+# the ideal of the relations above as its kernel
+# ---------------------------------------------------------------------------
+
+def serre_braiding(alphabet: Alphabet) -> tuple:
+    """chi for the x-family as s-exponents: chi[u][a] = k means s^k.
+
+    chi(x_i, x_i) = q, chi(x_{i+1}, x_i) = q^-1 and 1 for every other
+    pair, including chi(x_i, x_{i+1}).
+    """
+    n = len(alphabet)
+    return tuple(tuple(2 if u == a else -2 if u == a + 1 else 0
+                       for a in range(n)) for u in range(n))
+
+
+def chi_e_braiding(alphabet: Alphabet) -> tuple:
+    """chi for the quantum-coordinate realization, as in serre_braiding.
+
+    e-family: chi(e_i, e_i) = q and chi(e_i, e_{i+-1}) = s^-1; chi-family:
+    chi(chi_i, chi_{i+1}) = s and chi(chi_{i+1}, chi_i) = s^-1; 1 for
+    every other pair, among them every chi with every e.
+    """
+    rank = len(alphabet) // 2
+
+    def exponent(u, a):
+        if u >= rank and a >= rank:
+            return {0: 2, 1: -1, -1: -1}.get(u - a, 0)
+        if u < rank and a < rank:
+            return {-1: 1, 1: -1}.get(u - a, 0)
+        return 0
+
+    return tuple(tuple(exponent(u, a) for a in range(2 * rank))
+                 for u in range(2 * rank))

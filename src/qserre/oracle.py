@@ -1,23 +1,32 @@
-"""Brute-force ideal membership by exact linear algebra.
+"""Exact ideal membership, independent of the rewriting engine.
 
-This is the independent cross-check for the rewriting engine: a
-homogeneous element lies in the two-sided ideal iff it is a linear
-combination of padded relations u * rel * v of the same degree, which is
-a finite linear-algebra question over Q(s).
+This is the cross-check for the rewriting engine.  Both presentations
+are Nichols algebras of diagonal type, so the ideal of their relations
+is the kernel of the quantum symmetrizer Phi of their braiding chi
+(Rosso, Invent. Math. 133, 1998; Andruskiewitsch-Schneider, Adv. Math.
+154, 2000): Phi(w a) = Phi(w) shuffled with a, where each letter u that a
+moves left past contributes chi(u, a).  Phi is linear and keeps the
+letter counts of a word, so an oracle given its presentation's braiding
+decides each multidegree block of a slice by applying Phi, with no
+elimination and no degree cap.  The zero test encodes integer
+polynomials in s as integers (_symmetrizer_kills) and takes no gcd.
 
-All defining relations preserve the multiset of letters in a word, so
-each homogeneous component splits further into multidegree blocks that
-are decided separately; the elimination never sees more than a few
-hundred columns.  Elimination is fraction-free over Z[s]: coefficients
-stay integer polynomials, with no Q(s) division.  A vector being
-reduced sheds only its integer content after each step; the polynomial
-content, which takes gcds, comes out once, when a row is stored.
+The older route stays for what Phi does not answer, and as the
+reference the tests compare Phi against: a homogeneous element lies in
+the ideal iff it is a linear combination of padded relations u * rel * v
+of the same degree, a finite linear-algebra question over Q(s), again
+split into multidegree blocks.  Elimination is fraction-free over Z[s]:
+coefficients stay integer polynomials, with no Q(s) division.  A vector
+being reduced sheds only its integer content after each step; the
+polynomial content, which takes gcds, comes out once, when a row is
+stored.  quotient_dimension and an oracle built without a braiding use
+it.
 
-The randomized precheck specializes s at rational points and runs this
-same blockwise elimination over Q, on an oracle built once per point and
-kept on the exact one.  It can only reject; the verifiers run it before
-the exact elimination only while membership is still open, not after
-rewriting has reduced the input to zero.
+The randomized precheck specializes s at rational points and runs the
+blockwise elimination over Q, on an oracle built once per point and kept
+on the exact one.  It can only reject; the verifiers run it before the
+exact decision only while membership is still open, not after rewriting
+has reduced the input to zero.
 """
 
 from __future__ import annotations
@@ -190,12 +199,116 @@ def _strip_integer_content(vec):
     return vec
 
 
-class IdealOracle:
-    """Membership and dimension queries for one fixed relation list."""
+def _symmetrizer_kills(vec, content, braiding) -> bool:
+    """Is Phi(vec) = 0?  vec maps the words of one letter-count block to QRat.
 
-    def __init__(self, alphabet: Alphabet, relations):
+    Phi is the quantum symmetrizer of the braiding chi, given as its
+    table of s-exponents: Phi(a) = a and Phi(w a) = Phi(w) shuffled with a,
+    where each letter u that a moves left past contributes chi(u, a).
+
+    The test is exact and takes no gcd.  vec is cleared of denominators
+    once, by the product L of its distinct denominators, so p_w = num_w
+    times the other denominators is an integer polynomial in s.  Each is
+    encoded as one integer, its value at X = 2^B, which for p_w is a
+    product of integers.  Inserting a letter into words of length m
+    multiplies every term by s^(m * lift) as well, where -lift is the
+    least exponent in the table, so no exponent goes negative; the image
+    is s^N Phi(p) for one N, which is zero exactly when Phi(vec) is.
+
+    The bound: Phi(w) is a sum of n! monomials s^k * sigma(w) with
+    coefficient 1, of which prod m_i! land on each word (the m_i are the
+    block's letter counts).  So every coefficient of Phi(p) is at most
+    M = sum_w |p_w|_1 * prod m_i! in absolute value, where |.|_1 is the
+    sum of the absolute coefficients and |p_w|_1 <= |num_w|_1 times the
+    |.|_1 of the other denominators.  With B = bit_length(M) + 1 every
+    coefficient lies strictly between -X/2 and X/2, and such a
+    polynomial vanishes at X only when it is zero: its lowest nonzero
+    coefficient would have to be divisible by X.
+    """
+    dens = {c.den: sum(map(abs, c.den)) for c in vec.values()}
+    norms = 1
+    for norm in dens.values():
+        norms *= norm
+    bound = sum(sum(map(abs, c.num)) * (norms // dens[c.den])
+                for c in vec.values())
+    for m in content:
+        bound *= factorial(m)
+    bits = bound.bit_length() + 1
+
+    def at_x(p):
+        v = 0
+        for c in reversed(p):
+            v = (v << bits) + c
+        return v
+
+    values = {d: at_x(d) for d in dens}
+    whole = 1
+    for v in values.values():
+        whole *= v
+    # a word is packed into one int, letter i in bits width*i.., so that
+    # dict keys hash cheaply and an insertion is integer arithmetic
+    width = max(1, (len(braiding) - 1).bit_length())
+    mask = (1 << width) - 1
+    packed = {}
+    for w, c in vec.items():
+        key = 0
+        for i, letter in enumerate(w):
+            key |= letter << (width * i)
+        packed[key] = at_x(c.num) * (whole // values[c.den])
+    lift = max(0, -min(min(row) for row in braiding)) * bits
+    # cols[a][u]: the shift, in bits, of chi(u, a)
+    cols = [[row[a] * bits for row in braiding] for a in range(len(braiding))]
+    # moving the inserted letter from place j to j - 1 adds (d - a) * step
+    # to the packed word, d being the letter it passes, found at bit sh
+    n = sum(content)
+    moves = [[((1 << width * j) - (1 << width * (j - 1)), width * (j - 1))
+              for j in range(length - 1, 0, -1)]
+             for length in range(n + 1)]
+
+    def symmetrize(vec, length):
+        """The encoded image of vec, packed words of one length -> ints."""
+        if length <= 1:
+            return vec
+        top = width * (length - 1)
+        by_last = {}
+        for w, v in vec.items():
+            by_last.setdefault(w >> top, {})[w & ((1 << top) - 1)] = v
+        out = {}
+        base = (length - 1) * lift
+        for a, sub in by_last.items():
+            col, head = cols[a], a << top
+            for u, v in symmetrize(sub, length - 1).items():
+                if not v:
+                    continue
+                k = base
+                t = u | head
+                out[t] = out.get(t, 0) + (v << k)
+                for step, sh in moves[length]:
+                    d = (u >> sh) & mask
+                    k += col[d]
+                    t += (d - a) * step
+                    out[t] = out.get(t, 0) + (v << k)
+        return out
+
+    return not any(symmetrize(packed, n).values())
+
+
+class IdealOracle:
+    """Membership and dimension queries for one fixed relation list.
+
+    braiding, when given, is the function that builds the presentation's
+    chi table from the alphabet (freealg.serre_braiding, chi_e_braiding);
+    slice_member then decides by the quantum symmetrizer, and the table
+    is built at the first decision.  Without it, and always for
+    quotient_dimension and the specialized oracles of at_point, the
+    blockwise echelon of padded relations decides.
+    """
+
+    def __init__(self, alphabet: Alphabet, relations, braiding=None):
         self.alphabet = alphabet
         self.relations = tuple(relations)
+        self.braiding = braiding
+        self._chi = None
         self._rel_contents = []
         n = len(alphabet)
         for rel in self.relations:
@@ -234,16 +347,22 @@ class IdealOracle:
         grouped = {}
         for w, c in s.vector.terms.items():
             grouped.setdefault(_content(w, n), {})[w] = c
+        if self.braiding is not None:
+            if self._chi is None:
+                self._chi = self.braiding(self.alphabet)
+            return all(_symmetrizer_kills(vec, content, self._chi)
+                       for content, vec in grouped.items())
         for content, vec in grouped.items():
             res, lead = self._block(content).residue(vec)
             if lead is not None:
                 return False
         return True
 
-    def member(self, p: NcPoly, degree_cap: int) -> MembershipResult:
+    def member(self, p: NcPoly, degree_cap=None) -> MembershipResult:
+        """Membership of every slice; degree_cap None means no cap."""
         slices = split_homogeneous(p)
         for s in slices:
-            if s.degree > degree_cap:
+            if degree_cap is not None and s.degree > degree_cap:
                 raise ValueError(
                     "slice of degree %d exceeds the oracle cap %d; "
                     "use the rewriting path" % (s.degree, degree_cap))

@@ -2,9 +2,10 @@
 
 Each check builds the two sides of an identity as free-algebra elements
 and decides whether their difference lies in the defining ideal, by
-rewriting to a canonical normal form and, where slice degrees permit, by
-the independent linear-algebra oracle.  The two decision paths must
-agree; a disagreement is an engine bug and raises instead of reporting.
+rewriting to a canonical normal form and by the independent oracle,
+which applies the quantum symmetrizer to every slice unless a cap is
+set.  The two decision paths must agree; a disagreement is an engine bug
+and raises instead of reporting.
 
 Telescoping and factor commutativity hold in the free algebra itself and
 are checked by plain expansion, with no ideal involved.
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 from qserre.freealg import (
     NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
-    chi_e_relations, k_element, lemma_product, qproduct, serre_relations,
-    x_alphabet,
+    chi_e_braiding, chi_e_relations, k_element, lemma_product, qproduct,
+    serre_braiding, serre_relations, x_alphabet,
 )
 from qserre.oracle import (
     DISTINCT_POINTS, IdealOracle, randomized_precheck, split_homogeneous,
@@ -61,15 +62,17 @@ class Verifier:
     Completion and the oracle are built lazily on first use and keep memo
     tables that later checks reuse, so one instance serves its checks one
     after another.  A subclass for another presentation supplies its
-    alphabet, relations and raw rules.
+    alphabet, relations, braiding and raw rules.  oracle_cap None, the
+    default, lets the oracle decide slices of every degree.
     """
 
     alphabet_for = staticmethod(x_alphabet)
     relations_for = staticmethod(serre_relations)
+    braiding_for = staticmethod(serre_braiding)
     raw_rules = staticmethod(base_rules)
 
     def __init__(self, rank: int, completion_degree: int = 8,
-                 oracle_cap: int = 8, mode: str = "both",
+                 oracle_cap=None, mode: str = "both",
                  precheck_points: int = 2, seed: int = 0, rules=None):
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
@@ -100,8 +103,11 @@ class Verifier:
 
     @property
     def oracle(self) -> IdealOracle:
+        """The exact oracle: the presentation's relations and its braiding,
+        so slice_member decides by the quantum symmetrizer."""
         if self._oracle is None:
-            self._oracle = IdealOracle(self.alphabet, self.relations)
+            self._oracle = IdealOracle(self.alphabet, self.relations,
+                                       self.braiding_for)
         return self._oracle
 
     # -- the decision core ----------------------------------------------------
@@ -110,7 +116,10 @@ class Verifier:
         """Is diff in the ideal?  Runs the configured methods and compares.
 
         A zero reduction proves membership at any degree; a nonzero one
-        refutes it only within the certified degree.  The oracle proves
+        refutes it only within the certified degree.  The oracle decides
+        each slice with self.oracle.slice_member, which applies the
+        quantum symmetrizer and needs no elimination, so with no
+        oracle_cap it covers every slice.  With a cap it proves
         membership only when it covered every slice, but any non-member
         slice it finds is a definite refutation.  Contradictory definite
         verdicts mean the engine is broken and raise.
@@ -139,20 +148,20 @@ class Verifier:
 
         if self.mode in ("oracle", "both"):
             slices = split_homogeneous(diff)
-            high = [s for s in slices if s.degree > self.oracle_cap]
+            cap = self.oracle_cap
+            high = [s for s in slices if cap is not None and s.degree > cap]
             if high and self.mode == "oracle":
                 raise ValueError(
                     "slice of degree %d exceeds the oracle cap %d; "
                     "use the rewriting path"
-                    % (max(s.degree for s in high), self.oracle_cap))
-            checkable = [s for s in slices if s.degree <= self.oracle_cap]
+                    % (max(s.degree for s in high), cap))
+            checkable = [s for s in slices if cap is None or s.degree <= cap]
             if high:
-                notes.append("oracle skipped slices of degree > %d"
-                             % self.oracle_cap)
+                notes.append("oracle skipped slices of degree > %d" % cap)
             if checkable or not high:
-                low_part = NcPoly(diff.alphabet,
-                                  {w: c for s in checkable
-                                   for w, c in s.vector.terms.items()})
+                low_part = diff if not high else NcPoly(
+                    diff.alphabet, {w: c for s in checkable
+                                    for w, c in s.vector.terms.items()})
                 # a zero reduction proved membership: the precheck could only
                 # pass, and the exact oracle below still cross-checks it
                 if in_ideal or randomized_precheck(
@@ -280,10 +289,11 @@ class ChiEVerifier(Verifier):
 
     alphabet_for = staticmethod(chi_e_alphabet)
     relations_for = staticmethod(chi_e_relations)
+    braiding_for = staticmethod(chi_e_braiding)
     raw_rules = staticmethod(chi_e_rules)
 
     def __init__(self, rank: int, completion_degree: int = 6,
-                 oracle_cap: int = 8, mode: str = "both",
+                 oracle_cap=None, mode: str = "both",
                  precheck_points: int = 2, seed: int = 0):
         super().__init__(rank, completion_degree, oracle_cap, mode,
                          precheck_points, seed)
@@ -324,10 +334,15 @@ def check_chi_e(rank: int, **kwargs) -> VerificationReport:
 
 
 def _combined(identity, params, reports, alphabet, t0, notes=()):
-    """One report for several checks: it passes when all of them do."""
+    """One report for several checks: it passes when all of them do.
+
+    No checks at all is an error, not a pass.
+    """
+    if not reports:
+        raise ValueError("%s %s has no check to combine" % (identity, params))
     residual = next((r.residual for r in reports if not r.residual.is_zero),
                     NcPoly.zero(alphabet))
-    methods = reports[0].methods if reports else ("rewrite",)
+    methods = reports[0].methods
     millis = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(identity, params, all(r.passed for r in reports),
                               residual, methods, millis, notes)

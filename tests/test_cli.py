@@ -390,7 +390,7 @@ def _one_error_line(code, out, err, want_code, phrase):
 
 @pytest.mark.parametrize("argv, phrase", [
     # ayb at rank 2 reaches degree 10, above the default cap 8
-    (("verify", "all", "--rank", "2", "--mode", "oracle"),
+    (("verify", "all", "--rank", "2", "--mode", "oracle", "--oracle-cap", "8"),
      "slice of degree 10 exceeds the oracle cap 8"),
     (("verify", "central", "--mode", "oracle", "--oracle-cap", "2"),
      "exceeds the oracle cap 2"),
@@ -431,6 +431,18 @@ def _one_error_line(code, out, err, want_code, phrase):
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
+
+
+def test_oracle_mode_decides_all_of_rank_2(capsys):
+    # no default cap: the degree-10 ayb slices are decided by the oracle
+    code, out, err = run(capsys, "verify", "all", "--rank", "2", "--mode",
+                         "oracle", "--output", "structured")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and err == ""
+    assert len(records) == 103 and all(r["pass"] for r in records)
+    assert {r["method"] for r in records} == {"oracle", "expand", "series"}
+    assert any(r["method"] == "oracle" and r["suite"] == "ayb"
+               and r["params"]["lam"] == 3 for r in records)
 
 
 def test_method_disagreement_exits_3(capsys, monkeypatch):
@@ -479,6 +491,18 @@ def test_rule_file_failing_a_content_check_exits_2(capsys, command, name, rank,
                                                    phrase):
     _one_error_line(*run(capsys, *command, "--rank", rank,
                          "--rules", str(RULES / name)), 2, phrase)
+
+
+def test_chi_e_rule_file_is_checked_with_its_own_braiding(capsys, monkeypatch):
+    path = str(GOLDEN / "rules_normal_form_chi_e.txt")
+    code, out, _ = run(capsys, "normal-form", "e1 chi1", "--rules", path)
+    assert code == 0 and out.splitlines()[0] == "chi1 e1"
+    # control: with the x-family braiding the chi reordering rule is no
+    # longer in the kernel, so the content check rejects the file
+    import qserre.cli
+    monkeypatch.setattr(qserre.cli, "chi_e_braiding", qserre.cli.serre_braiding)
+    _one_error_line(*run(capsys, "normal-form", "e1 chi1", "--rules", path),
+                    2, "oracle finds outside the ideal")
 
 
 def test_verify_chie_completes_at_the_run_degree(capsys, monkeypatch):

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import qserre.oracle as oracle_module
 from qserre.qfield import ONE, Q, S, QRat, _content, _pgcd, q_power
-from qserre.freealg import NcPoly, chi_e_alphabet, chi_e_relations, serre_relations, x_alphabet
+from qserre.freealg import (
+    NcPoly, chi_e_alphabet, chi_e_braiding, chi_e_relations, serre_braiding,
+    serre_relations, x_alphabet,
+)
 from qserre.oracle import (
     IdealOracle, random_points, randomized_precheck, split_homogeneous,
 )
@@ -275,3 +278,221 @@ def test_precheck_draws_points_once_per_seed(monkeypatch):
     assert not randomized_precheck(x1 * x2, oracle, 2, 5)
     assert draws == [5]
     assert oracle.sample_points(3, 5) == real(3, 5)
+
+
+# -- the quantum symmetrizer: how the exact oracle decides ---------------------
+
+BRAIDINGS = (serre_braiding, serre_braiding, chi_e_braiding)
+PHI_ORACLES = tuple(IdealOracle(o.alphabet, o.relations, b)
+                    for o, b in zip(PRECHECK_ORACLES, BRAIDINGS))
+
+
+def _transposed(braiding):
+    return lambda alphabet: tuple(zip(*braiding(alphabet)))
+
+
+def _ref_phi(vec, chi):
+    """Phi(vec), word by word, on explicit Laurent coefficients.
+
+    vec maps words to {s-exponent: integer}; so does the result, which
+    holds only nonzero coefficients.  Phi(w a) is Phi(w) with a inserted
+    at every place, times chi(u, a) for each letter u that a moves past.
+    """
+    out = {}
+    for w, coeff in vec.items():
+        image = {(): {0: 1}}
+        for a in w:
+            grown = {}
+            for u, c in image.items():
+                e = 0
+                for j in range(len(u), -1, -1):
+                    if j < len(u):
+                        e += chi[u[j]][a]
+                    acc = grown.setdefault(u[:j] + (a,) + u[j:], {})
+                    for k, x in c.items():
+                        acc[k + e] = acc.get(k + e, 0) + x
+            image = grown
+        for t, c in image.items():
+            acc = out.setdefault(t, {})
+            for k, x in c.items():
+                for k2, y in coeff.items():
+                    acc[k + k2] = acc.get(k + k2, 0) + x * y
+    out = {t: {k: x for k, x in c.items() if x} for t, c in out.items()}
+    return {t: c for t, c in out.items() if c}
+
+
+def _kills(vec, chi):
+    """The oracle's zero test on a vector of integer polynomials in s."""
+    qvec = {w: QRat(tuple(p)) for w, p in vec.items()}
+    content = oracle_module._content(next(iter(vec)), len(chi))
+    return oracle_module._symmetrizer_kills(qvec, content, chi)
+
+
+def _laurent(vec):
+    return {w: {k: c for k, c in enumerate(p) if c} for w, p in vec.items()}
+
+
+BIG = 10 ** 40
+CHI2, CHI3 = serre_braiding(A2), serre_braiding(A3)
+CHIE2 = chi_e_braiding(chi_e_alphabet(2))
+# (vector of integer polynomials in s, lowest power first; its braiding)
+ZERO_TEST_CASES = [
+    # the first cubic relation times a huge integer and times s^3
+    ({(0, 0, 1): (BIG,), (1, 0, 0): (0, 0, BIG), (0, 1, 0): (-BIG, 0, -BIG)},
+     CHI2),
+    ({(0, 0, 1): (0, 0, 0, 1), (1, 0, 0): (0, 0, 0, 0, 0, 1),
+      (0, 1, 0): (0, 0, 0, -1, 0, -1)}, CHI2),
+    # the same plus one more unit on a word of the block: no longer zero
+    ({(0, 0, 1): (BIG + 1,), (1, 0, 0): (0, 0, BIG),
+      (0, 1, 0): (-BIG, 0, -BIG)}, CHI2),
+    # (s - 2^k) x1 x2: vanishes at s = 2^k, so a base 2^k would miss it
+    ({(0, 1): (-2 ** 7, 1)}, CHI2),
+    ({(0, 1, 0): (-2 ** 61, 1), (1, 0, 0): (2 ** 61, -1)}, CHI2),
+    # distant letters commute: x1 x3 - x3 x1, huge and cancelling
+    ({(0, 2): (-BIG, BIG), (2, 0): (BIG, -BIG)}, CHI3),
+    ({(0, 2): (-BIG, BIG), (2, 0): (BIG, 1 - BIG)}, CHI3),
+    # chi1 chi2 - s chi2 chi1, times s^2, and a near miss
+    ({(0, 1): (0, 0, 7), (1, 0): (0, 0, 0, -7)}, CHIE2),
+    ({(0, 1): (0, 0, 7), (1, 0): (0, 0, -7)}, CHIE2),
+    # e1 e1 e2 + e2 e1 e1 - (s + 1/s) e1 e2 e1, times s
+    ({(2, 2, 3): (0, 1), (3, 2, 2): (0, 1), (2, 3, 2): (-1, 0, -1)}, CHIE2),
+    ({(2, 2, 3): (0, 1), (3, 2, 2): (0, 1), (2, 3, 2): (-1, 0, 1)}, CHIE2),
+]
+
+
+@pytest.mark.parametrize("vec, chi", ZERO_TEST_CASES)
+def test_zero_test_matches_reference_phi(vec, chi):
+    assert _kills(vec, chi) == (not _ref_phi(_laurent(vec), chi))
+
+
+def test_zero_test_sees_roots_at_powers_of_two():
+    # (s^j - 2^k) x1 x2 vanishes at s = 2^(k/j): the encoding's base must
+    # exceed every such root that the coefficient bound allows
+    for j in (1, 2, 3, 5):
+        for k in range(1, 70):
+            vec = {(0, 1): (-2 ** k,) + (0,) * (j - 1) + (1,)}
+            assert not _kills(vec, CHI2), (j, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zero_test_matches_reference_phi_on_drawn_vectors(data):
+    # a few words of one block with large integer polynomial coefficients,
+    # some of the form c (s - 2^k), plus a large multiple of a member of the
+    # block, so that many images cancel and some nearly do
+    chi, oracle = data.draw(st.sampled_from(
+        [(CHI2, PHI_ORACLES[0]), (CHI3, PHI_ORACLES[1]),
+         (CHIE2, PHI_ORACLES[2])]))
+    a = oracle.alphabet
+    letters = st.lists(st.integers(0, len(a) - 1), max_size=2).map(tuple)
+    member = NcPoly.zero(a)
+    for _ in range(data.draw(st.integers(1, 3))):
+        rel = data.draw(st.sampled_from(oracle.relations))
+        u, v = data.draw(letters), data.draw(letters)
+        c = QRat(data.draw(st.integers(-5, 5))) * S  # s clears chi-e's 1/s
+        member = member + (NcPoly.monomial(a, u) * rel
+                           * NcPoly.monomial(a, v)).scale(c)
+    if member.is_zero:
+        return
+    words = sorted(member.terms, key=len)
+    block = sorted(data.draw(st.sampled_from(words)))
+    ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 90, 2 ** 90))
+    poly = st.one_of(
+        st.lists(ints, min_size=1, max_size=4).map(tuple),
+        st.tuples(st.integers(1, 80), ints).map(
+            lambda kc: (-kc[1] * 2 ** kc[0], kc[1])))
+    scale = data.draw(st.integers(-2 ** 64, 2 ** 64))
+    vec = {}
+    for w, c in member.terms.items():
+        if sorted(w) == block:
+            assert c.den == (1,)
+            vec[w] = tuple(scale * x for x in c.num)
+    for w in data.draw(st.lists(st.permutations(block), max_size=3)):
+        extra = data.draw(poly)
+        old = vec.get(tuple(w), ())
+        n = max(len(old), len(extra))
+        vec[tuple(w)] = tuple((old + (0,) * n)[i] + (extra + (0,) * n)[i]
+                              for i in range(n))
+    vec = {w: p for w, p in vec.items() if any(p)}
+    if vec:
+        assert _kills(vec, chi) == (not _ref_phi(_laurent(vec), chi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symmetrizer_agrees_with_the_echelon(data):
+    # coefficient-weighted padded members are members by both; a word alone
+    # in its block is a non-member by both, slice by slice
+    i = data.draw(st.integers(0, len(PHI_ORACLES) - 1))
+    phi, ech = PHI_ORACLES[i], PRECHECK_ORACLES[i]
+    a = phi.alphabet
+    member = _padded_member(data, phi)
+    w = tuple(data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1,
+                                 max_size=6)))
+    rest = {u: c for u, c in member.terms.items() if sorted(u) != sorted(w)}
+    lone = NcPoly(a, rest) + NcPoly.monomial(
+        a, w, data.draw(st.sampled_from(NONVANISHING)))
+    for p, want in ((member, True), (lone, False)):
+        got = [(phi.slice_member(s), ech.slice_member(s))
+               for s in split_homogeneous(p)]
+        assert all(x == y for x, y in got)
+        assert all(x for x, _ in got) == want
+
+
+@pytest.mark.parametrize("i", range(len(PHI_ORACLES)))
+def test_transposed_braiding_fails_the_agreement(i):
+    # mutation control: the transposed chi no longer kills the ideal.  For
+    # the x family it leaves every cubic relation uncancelled; for chi-e the
+    # e-braiding is symmetric, so only the chi reordering shows it
+    ech = PRECHECK_ORACLES[i]
+    phi = IdealOracle(ech.alphabet, ech.relations, _transposed(BRAIDINGS[i]))
+    missed = [r for r in ech.relations if not phi.member(r).member]
+    assert missed and all(ech.member(r).member for r in missed)
+    if BRAIDINGS[i] is serre_braiding:
+        assert missed == [r for r in ech.relations if r.degree == 3]
+
+
+@pytest.mark.parametrize("alphabet, relations, braiding", [
+    (x_alphabet(r), serre_relations, serre_braiding) for r in (2, 3, 4, 5)
+] + [(chi_e_alphabet(r), chi_e_relations, chi_e_braiding) for r in (2, 3)])
+def test_symmetrizer_kills_every_relation(alphabet, relations, braiding):
+    # up to eight letters, three bits per packed letter from five letters on
+    rels = relations(alphabet)
+    phi = IdealOracle(alphabet, rels, braiding)
+    assert all(phi.member(r).member for r in rels)
+    w, c = next(iter(rels[0].terms.items()))  # one word of a relation alone
+    assert not phi.member(NcPoly.monomial(alphabet, w, c)).member
+
+
+def _qrat_vector(laurent):
+    out = {}
+    for w, c in laurent.items():
+        low = min(c)
+        num = tuple(c.get(k, 0) for k in range(low, max(c) + 1))
+        out[w] = QRat(num, (0,) * max(0, -low) + (1,)) * S ** max(0, low)
+    return out
+
+
+@pytest.mark.parametrize("i, max_degree", [(0, 6), (1, 5), (2, 4)])
+def test_symmetrizer_image_rank_is_the_quotient_dimension(i, max_degree):
+    # exact ranks, no specialization: the images Phi(w) of a block's words go
+    # into the fraction-free echelon, and their rank must be the block's
+    # quotient dimension, perm count minus the echelon rank of the ideal
+    ech = PRECHECK_ORACLES[i]
+    n = len(ech.alphabet)
+    chi = BRAIDINGS[i](ech.alphabet)
+    for degree in range(max_degree + 1):
+        for content in oracle_module._compositions(degree, n):
+            image = oracle_module._Echelon()
+            for w in oracle_module._multiset_words(content):
+                image.insert(_qrat_vector(_ref_phi({w: {0: 1}}, chi)))
+            assert image.rank == (oracle_module._perm_count(content)
+                                  - ech._block(content).rank), content
+
+
+def test_braiding_tables():
+    # chi as s-exponents, chi[u][a]: x-family s^2 on the diagonal and s^-2
+    # for (x_{i+1}, x_i); chi-e (chi1, chi2, e1, e2) as in its docstring
+    assert serre_braiding(A3) == ((2, 0, 0), (-2, 2, 0), (0, -2, 2))
+    assert chi_e_braiding(chi_e_alphabet(2)) == (
+        (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))

@@ -136,13 +136,14 @@ def test_high_degree_failure_reports_fail_not_disagreement(v2):
         - (x1 * x2 * x1).scale(ONE + Q)
     high = x2 * x1 ** 9 - x1 ** 9 * x2
     assert not v2.rules.reduce(high).is_zero  # really fails, and certified
-    r = v2.decide("probe", (("case", "high-degree"),), rel + high)
+    capped = Verifier(2, completion_degree=10, oracle_cap=8, rules=v2.rules)
+    r = capped.decide("probe", (("case", "high-degree"),), rel + high)
     assert not r.passed
     assert any("skipped slices" in n for n in r.notes)
 
 
 def test_undecided_when_nothing_certifies():
-    v = Verifier(2, completion_degree=3)
+    v = Verifier(2, completion_degree=3, oracle_cap=8)
     a = v.alphabet
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     r = v.decide("probe", (("case", "undecided"),), x2 * x1 ** 9)
@@ -173,6 +174,14 @@ def test_chi_e_embedding():
         r = check_chi_e(rank)
         assert r.passed, rank
         assert any("assumes" in note for note in r.notes)
+
+
+def test_chi_e_with_no_check_raises():
+    # rank 1 has no relation family: an empty combined report is an error,
+    # not a pass with nothing checked
+    for mode in ("oracle", "both"):
+        with pytest.raises(ValueError, match="chie"):
+            check_chi_e(1, mode=mode)
 
 
 def test_chi_e_family_reports():
@@ -375,3 +384,21 @@ def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
     assert v.check_qq(2, 1, 0).passed
     assert calls["pgcd"] <= 46000
     assert calls["prem"] <= 6000
+
+
+def test_qq_rank3_builds_no_echelon_and_skips_no_slice(monkeypatch):
+    # the exact oracle decides every slice, degree 9 included, with the
+    # quantum symmetrizer: no block elimination and no cap note
+    v = Verifier(3)
+    built = []
+    real = oracle_module._Echelon
+    monkeypatch.setattr(oracle_module, "_Echelon",
+                        lambda: built.append(1) or real())
+    r = v.check_qq(2, 1, 0)
+    assert r.passed and r.methods == ("rewrite", "oracle")
+    assert not any("skipped slices" in n for n in r.notes)
+    assert built == []
+    # control: the echelon route of the same oracle does build blocks
+    assert oracle_module.IdealOracle(v.alphabet, v.relations).member(
+        v.relations[0] * v.relations[1]).member
+    assert built
