@@ -18,11 +18,10 @@ import re
 import sys
 
 from qserre.exprparse import ParseError, parse_expression
-from qserre.freealg import chi_e_braiding, serre_braiding
 from qserre.oracle import IdealOracle
 from qserre.rewrite import (
-    base_rules, chi_e_rules, complete, critical_pair_residuals, dump_rules,
-    load_rules, normal_word_counts,
+    complete, critical_pair_residuals, dump_rules, load_rules,
+    normal_word_counts,
 )
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
@@ -103,12 +102,13 @@ def main(argv=None) -> int:
         return 2
 
 
-def _rule_set(args, raw, need):
+def _rule_set(args, presentation, need):
     """The rule set a command rewrites with, and the run's completion degree.
 
     The one reader of --rules, --dump-rules and the default completion
-    degree.  raw is the command's uncompleted rule set, None when no
-    requested check rewrites; need is the largest degree the command
+    degree.  presentation is the Verifier class of the command's rules,
+    None when no requested check rewrites; its raw_rules at --rank are
+    the uncompleted rule set raw.  need is the largest degree the command
     reduces.  A --rules file must match raw's alphabet, be certified to
     need and pass the content checks; without one, raw is completed to
     --completion-degree or to max(8, need).
@@ -122,11 +122,12 @@ def _rule_set(args, raw, need):
     elif degree < need:
         raise ValueError("completion degree %d is below the computed "
                          "requirement %d" % (degree, need))
-    if raw is None:
+    if presentation is None:
         if args.rules or args.dump_rules:
             raise ValueError("--rules and --dump-rules name the x rule set, "
                              "which no requested suite uses")
         return None, degree
+    raw = presentation.raw_rules(args.rank)
     if args.rules:
         try:
             with open(args.rules) as fh:
@@ -141,7 +142,7 @@ def _rule_set(args, raw, need):
             raise ValueError("%s is certified to degree %d, below the "
                              "required %d" % (args.rules,
                                               rules.completed_degree, need))
-        _check_loaded(rules, raw, args.rules)
+        _check_loaded(rules, raw, presentation.braiding_for, args.rules)
     else:
         rules = complete(raw, degree)
     if args.dump_rules:
@@ -154,20 +155,18 @@ def _rule_set(args, raw, need):
     return rules, degree
 
 
-def _check_loaded(rules, raw, path):
+def _check_loaded(rules, raw, braiding, path):
     """Reject a loaded rule set that could certify a false normal form.
 
     Bergman's diamond lemma: the rules must generate the ideal of the
     defining relations (each relation reduces to zero, each rule is a
     member) and every overlap within the declared degree must resolve.
-    Membership is decided by the quantum symmetrizer of the
-    presentation's braiding.
+    braiding is the presentation's (its verifier class's braiding_for);
+    membership is decided by its quantum symmetrizer.
     """
     if not all(rules.reduce(r.as_poly()).is_zero for r in raw.rules):
         raise ValueError("rules in %s do not reduce every defining "
                          "relation to zero" % path)
-    braiding = (chi_e_braiding if raw.alphabet.families[0][0] == "chi"
-                else serre_braiding)
     oracle = IdealOracle(raw.alphabet, [r.as_poly() for r in raw.rules],
                          braiding)
     if not all(oracle.member(r.as_poly()).member for r in rules.rules):
@@ -182,13 +181,14 @@ def _check_loaded(rules, raw, path):
 
 def cmd_normal_form(args) -> int:
     uses_chi_e = bool(re.search(r"\b(chi|e)\d+\b", args.expr))
-    raw = chi_e_rules(args.rank) if uses_chi_e else base_rules(args.rank)
+    presentation = ChiEVerifier if uses_chi_e else Verifier
+    raw = presentation.raw_rules(args.rank)
     try:
         poly = parse_expression(args.expr, raw.alphabet, args.rank)
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    rules, _ = _rule_set(args, raw, 0)
+    rules, _ = _rule_set(args, presentation, 0)
     out = rules.reduce_flagged(poly)
     print(out.poly)
     if out.certified:
@@ -203,7 +203,7 @@ def cmd_normal_form(args) -> int:
 def cmd_hilbert(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree %d is negative" % args.max_degree)
-    rules, _ = _rule_set(args, base_rules(args.rank), args.max_degree)
+    rules, _ = _rule_set(args, Verifier, args.max_degree)
     counts = normal_word_counts(rules, args.max_degree)
     if args.output == "structured":
         for d, c in enumerate(counts):
@@ -311,8 +311,7 @@ def cmd_verify(args) -> int:
                  else needed_completion_degree(s, args.rank, lambda_max)
                  for s in suites)
     rewrites = any(s not in SUITES_WITHOUT_X_RULES for s in suites)
-    rules, degree = _rule_set(args, base_rules(args.rank) if rewrites else None,
-                              needed)
+    rules, degree = _rule_set(args, Verifier if rewrites else None, needed)
     verifier = Verifier(args.rank, completion_degree=degree,
                         oracle_cap=args.oracle_cap, mode=args.mode,
                         precheck_points=args.precheck_points,

@@ -209,11 +209,14 @@ def _symmetrizer_kills(vec, content, braiding) -> bool:
     The test is exact and takes no gcd.  vec is cleared of denominators
     once, by the product L of its distinct denominators, so p_w = num_w
     times the other denominators is an integer polynomial in s.  Each is
-    encoded as one integer, its value at X = 2^B, which for p_w is a
-    product of integers.  Inserting a letter into words of length m
-    multiplies every term by s^(m * lift) as well, where -lift is the
-    least exponent in the table, so no exponent goes negative; the image
-    is s^N Phi(p) for one N, which is zero exactly when Phi(vec) is.
+    encoded as one integer, its value at X = 2^B: the value of num_w
+    times the values of the other denominators.  That is evaluation, a
+    ring map from Z[s] to Z, with no division, so it is exact even where
+    a denominator vanishes at X.  Inserting a letter into words of
+    length m multiplies every term by s^(m * lift) as well, where -lift
+    is the least exponent in the table, so no exponent goes negative;
+    the image is s^N Phi(p) for one N, which is zero exactly when
+    Phi(vec) is, and the encoded image is its value at X.
 
     The bound: Phi(w) is a sum of n! monomials s^k * sigma(w) with
     coefficient 1, of which prod m_i! land on each word (the m_i are the
@@ -223,7 +226,9 @@ def _symmetrizer_kills(vec, content, braiding) -> bool:
     |.|_1 of the other denominators.  With B = bit_length(M) + 1 every
     coefficient lies strictly between -X/2 and X/2, and such a
     polynomial vanishes at X only when it is zero: its lowest nonzero
-    coefficient would have to be divisible by X.
+    coefficient would have to be divisible by X.  The bound concerns
+    Phi(p) alone, so a denominator may have a root at X, as s - 8 does
+    when M is 2; no value is ever divided by.
     """
     dens = {c.den: sum(map(abs, c.den)) for c in vec.values()}
     norms = 1
@@ -241,10 +246,16 @@ def _symmetrizer_kills(vec, content, braiding) -> bool:
             v = (v << bits) + c
         return v
 
-    values = {d: at_x(d) for d in dens}
-    whole = 1
-    for v in values.values():
-        whole *= v
+    # cofactor[d]: the product of the values of the other denominators
+    values = [(d, at_x(d)) for d in dens]
+    cofactor = {}
+    left = right = 1
+    for d, v in values:
+        cofactor[d] = left
+        left *= v
+    for d, v in reversed(values):
+        cofactor[d] *= right
+        right *= v
     # a word is packed into one int, letter i in bits width*i.., so that
     # dict keys hash cheaply and an insertion is integer arithmetic
     width = max(1, (len(braiding) - 1).bit_length())
@@ -254,7 +265,7 @@ def _symmetrizer_kills(vec, content, braiding) -> bool:
         key = 0
         for i, letter in enumerate(w):
             key |= letter << (width * i)
-        packed[key] = at_x(c.num) * (whole // values[c.den])
+        packed[key] = at_x(c.num) * cofactor[c.den]
     lift = max(0, -min(min(row) for row in braiding)) * bits
     # cols[a][u]: the shift, in bits, of chi(u, a)
     cols = [[row[a] * bits for row in braiding] for a in range(len(braiding))]

@@ -8,9 +8,13 @@ import pytest
 
 from qserre.cli import main
 from qserre.exprparse import ParseError, parse_expression, parse_poly
-from qserre.freealg import NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct, x_alphabet
+from qserre.freealg import (
+    NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct,
+    serre_braiding, x_alphabet,
+)
 from qserre.qfield import ONE, Q, QRat
 from qserre.rewrite import complete
+from qserre.verify import ChiEVerifier
 
 A2 = x_alphabet(2)
 
@@ -499,8 +503,8 @@ def test_chi_e_rule_file_is_checked_with_its_own_braiding(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "chi1 e1"
     # control: with the x-family braiding the chi reordering rule is no
     # longer in the kernel, so the content check rejects the file
-    import qserre.cli
-    monkeypatch.setattr(qserre.cli, "chi_e_braiding", qserre.cli.serre_braiding)
+    monkeypatch.setattr(ChiEVerifier, "braiding_for",
+                        staticmethod(serre_braiding))
     _one_error_line(*run(capsys, "normal-form", "e1 chi1", "--rules", path),
                     2, "oracle finds outside the ideal")
 

@@ -321,9 +321,11 @@ def _ref_phi(vec, chi):
     return {t: c for t, c in out.items() if c}
 
 
-def _kills(vec, chi):
-    """The oracle's zero test on a vector of integer polynomials in s."""
-    qvec = {w: QRat(tuple(p)) for w, p in vec.items()}
+def _kills(vec, chi, dens=None):
+    """The oracle's zero test on a vector of integer polynomials in s, each
+    over its denominator in dens (1 when absent)."""
+    qvec = {w: QRat(tuple(p), (dens or {}).get(w, (1,)))
+            for w, p in vec.items()}
     content = oracle_module._content(next(iter(vec)), len(chi))
     return oracle_module._symmetrizer_kills(qvec, content, chi)
 
@@ -360,9 +362,28 @@ ZERO_TEST_CASES = [
 ]
 
 
-@pytest.mark.parametrize("vec, chi", ZERO_TEST_CASES)
-def test_zero_test_matches_reference_phi(vec, chi):
-    assert _kills(vec, chi) == (not _ref_phi(_laurent(vec), chi))
+# (numerators, braiding, denominators): over s - 2^B the single
+# denominator vanishes at the encoding's base X = 2^B, B from the bound
+DENOMINATOR_CASES = [
+    # (x1 x3 - x3 x1) / (s - 8): M = 2, so X = 8
+    ({(0, 2): (1,), (2, 0): (-1,)}, CHI3, {(0, 2): (-8, 1), (2, 0): (-8, 1)}),
+    ({(0, 2): (1,), (2, 0): (-2,)}, CHI3, {(0, 2): (-8, 1), (2, 0): (-8, 1)}),
+    # the first cubic relation over s - 32: M = 8, so X = 32
+    ({(0, 0, 1): (1,), (1, 0, 0): (0, 0, 1), (0, 1, 0): (-1, 0, -1)}, CHI2,
+     {(0, 0, 1): (-32, 1), (1, 0, 0): (-32, 1), (0, 1, 0): (-32, 1)}),
+    # chi1 chi2 - s chi2 chi1 over s (s - 8): two distinct denominators
+    ({(0, 1): (1,), (1, 0): (-1,)}, CHIE2, {(0, 1): (0, -8, 1), (1, 0): (-8, 1)}),
+    ({(0, 1): (1,), (1, 0): (-2,)}, CHIE2, {(0, 1): (0, -8, 1), (1, 0): (-8, 1)}),
+]
+
+
+@pytest.mark.parametrize("vec, chi, dens", [
+    (vec, chi, {}) for vec, chi in ZERO_TEST_CASES] + DENOMINATOR_CASES)
+def test_zero_test_matches_reference_phi(vec, chi, dens):
+    # the reference clears denominators by their lcm, as the echelon does
+    qvec = {w: QRat(p, dens.get(w, (1,))) for w, p in vec.items()}
+    cleared = oracle_module._clear_denominators(qvec)
+    assert _kills(vec, chi, dens) == (not _ref_phi(_laurent(cleared), chi))
 
 
 def test_zero_test_sees_roots_at_powers_of_two():
@@ -372,6 +393,12 @@ def test_zero_test_sees_roots_at_powers_of_two():
         for k in range(1, 70):
             vec = {(0, 1): (-2 ** k,) + (0,) * (j - 1) + (1,)}
             assert not _kills(vec, CHI2), (j, k)
+            # the same polynomial as a denominator: x1 x2 alone stays a
+            # non-member and x1 x3 - x3 x1 a member, whatever the base
+            den = vec[(0, 1)]
+            assert not _kills({(0, 1): (1,)}, CHI2, {(0, 1): den}), (j, k)
+            assert _kills({(0, 2): (1,), (2, 0): (-1,)}, CHI3,
+                          {(0, 2): den, (2, 0): den}), (j, k)
 
 
 @settings(max_examples=80, deadline=None)

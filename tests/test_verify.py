@@ -3,7 +3,7 @@ import pytest
 import qserre.oracle as oracle_module
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
-from qserre.qfield import ONE, Q, q_power
+from qserre.qfield import ONE, Q, QRat, q_power
 from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
 from qserre.verify import (
     ChiEVerifier, Verifier, check_chi_e, descending_triples,
@@ -402,3 +402,13 @@ def test_qq_rank3_builds_no_echelon_and_skips_no_slice(monkeypatch):
     assert oracle_module.IdealOracle(v.alphabet, v.relations).member(
         v.relations[0] * v.relations[1]).member
     assert built
+
+
+def test_member_over_a_denominator_vanishing_at_the_encoding_base(v3):
+    # (x1 x3 - x3 x1) / (s - 8) rewrites to zero; the oracle's cross-check
+    # encodes at X = 8, where the denominator vanishes, and must still
+    # find a member
+    a = v3.alphabet
+    x1, x3 = NcPoly.generator(a, "x1"), NcPoly.generator(a, "x3")
+    r = v3.decide("p", (), (x1 * x3 - x3 * x1).scale(QRat(1, (-8, 1))))
+    assert r.passed and r.methods == ("rewrite", "oracle")
