@@ -50,7 +50,12 @@ def build_parser():
                              "default no cap")
     shared.add_argument("--mode", choices=("rewrite", "oracle", "both"),
                         default="both")
-    shared.add_argument("--precheck-points", type=int, default=2)
+    shared.add_argument("--precheck-points", type=int, default=2,
+                        help="points s = 2^j, j drawn from 1..182, at "
+                             "which a randomized precheck applies the "
+                             "quantum symmetrizer, the only oracle, "
+                             "before its exact test; it can only reject "
+                             "(default 2)")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", choices=("text", "structured"),
                         default="text")
@@ -167,9 +172,8 @@ def _check_loaded(rules, raw, braiding, path):
     if not all(rules.reduce(r.as_poly()).is_zero for r in raw.rules):
         raise ValueError("rules in %s do not reduce every defining "
                          "relation to zero" % path)
-    oracle = IdealOracle(raw.alphabet, [r.as_poly() for r in raw.rules],
-                         braiding)
-    if not all(oracle.member(r.as_poly()).member for r in rules.rules):
+    oracle = IdealOracle(raw.alphabet, braiding)
+    if not all(oracle.member(r.as_poly()) for r in rules.rules):
         raise ValueError("rules in %s include a rule the oracle finds "
                          "outside the ideal" % path)
     if any(not res.is_zero for _, res in

@@ -103,11 +103,9 @@ class Verifier:
 
     @property
     def oracle(self) -> IdealOracle:
-        """The exact oracle: the presentation's relations and its braiding,
-        so slice_member decides by the quantum symmetrizer."""
+        """The exact oracle: the quantum symmetrizer of the braiding."""
         if self._oracle is None:
-            self._oracle = IdealOracle(self.alphabet, self.relations,
-                                       self.braiding_for)
+            self._oracle = IdealOracle(self.alphabet, self.braiding_for)
         return self._oracle
 
     # -- the decision core ----------------------------------------------------
@@ -116,16 +114,19 @@ class Verifier:
         """Is diff in the ideal?  Runs the configured methods and compares.
 
         A zero reduction proves membership at any degree; a nonzero one
-        refutes it only within the certified degree.  The oracle decides
-        each slice with self.oracle.slice_member, which applies the
-        quantum symmetrizer and needs no elimination, so with no
-        oracle_cap it covers every slice.  With a cap it proves
+        refutes it only within the certified degree.  The oracle, the
+        only one in the package, decides each slice with
+        self.oracle.slice_member, which applies the quantum symmetrizer
+        Phi and needs no elimination, so with no oracle_cap it covers
+        every slice; the echelon the tests compare it against lives in
+        tests/reference_echelon.py.  With a cap it proves
         membership only when it covered every slice, but any non-member
         slice it finds is a definite refutation.  Contradictory definite
         verdicts mean the engine is broken and raise.
 
         The randomized precheck, which can only reject, runs before the
-        oracle unless rewriting has already proved membership; the exact
+        oracle unless rewriting has already proved membership: it is the
+        same symmetrizer test at s = 2^j for a few drawn j.  The exact
         oracle then runs on every checkable slice either way, so a
         rewriting bug still surfaces as a disagreement.
         """

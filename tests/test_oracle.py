@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +11,19 @@ from qserre.freealg import (
     serre_relations, x_alphabet,
 )
 from qserre.oracle import (
-    IdealOracle, random_points, randomized_precheck, split_homogeneous,
+    DISTINCT_POINTS, IdealOracle, random_points, randomized_precheck,
+    split_homogeneous,
+)
+from reference_echelon import (
+    ReferenceOracle, _Echelon, _clear_denominators, _compositions,
+    _multiset_words, _perm_count,
 )
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
 RELS2 = serre_relations(A2)
 RELS3 = serre_relations(A3)
+PHI2 = IdealOracle(A2, serre_braiding)
 
 
 def gens(a):
@@ -41,24 +46,16 @@ def test_split_homogeneous():
 def test_relation_is_member():
     x1, x2 = gens(A2)
     p = x1 * x1 * x2 + (x2 * x1 * x1).scale(Q) - (x1 * x2 * x1).scale(ONE + Q)
-    assert IdealOracle(A2, RELS2).member(p, 8).member
+    assert PHI2.member(p) is True
 
 
 def test_commutator_is_not_member():
     x1, x2 = gens(A2)
-    res = IdealOracle(A2, RELS2).member(x1 * x2 - x2 * x1, 8)
-    assert not res.member
+    assert PHI2.member(x1 * x2 - x2 * x1) is False
 
 
 def test_zero_is_member():
-    assert IdealOracle(A2, RELS2).member(NcPoly.zero(A2), 8).member
-
-
-def test_cap_exceeded():
-    x1, x2 = gens(A2)
-    p = (x1 * x2) ** 5
-    with pytest.raises(ValueError):
-        IdealOracle(A2, RELS2).member(p, 8)
+    assert PHI2.member(NcPoly.zero(A2))
 
 
 def test_membership_monotone_under_padding_and_sums():
@@ -70,30 +67,32 @@ def test_membership_monotone_under_padding_and_sums():
         x1 * rel * x2 - rel * (x1 * x2),
     ]
     for p in combos:
-        assert IdealOracle(A2, RELS2).member(p, 8).member
+        assert PHI2.member(p)
 
 
 def test_precheck_examples():
     x1, x2 = gens(A2)
-    oracle = IdealOracle(A2, RELS2)
-    assert randomized_precheck(NcPoly.zero(A2), oracle, 3, 0)
-    assert randomized_precheck(RELS2[0], oracle, 3, 0)
-    assert not randomized_precheck(x1 * x2 - x2 * x1, oracle, 3, 0)
+    assert randomized_precheck(NcPoly.zero(A2), PHI2, 3, 0)
+    assert randomized_precheck(RELS2[0], PHI2, 3, 0)
+    assert not randomized_precheck(x1 * x2 - x2 * x1, PHI2, 3, 0)
 
 
 def test_random_points_admissible():
+    # exponents j for s = 2^j: distinct, at least 1 (so s is never 0 or
+    # +-1), the same for the same seed, and every one drawable
     pts = random_points(6, 42)
     assert len(set(pts)) == 6
-    for pt in pts:
-        assert pt not in (0, 1, -1)
+    assert all(isinstance(j, int) and 1 <= j <= DISTINCT_POINTS for j in pts)
     assert random_points(6, 42) == pts
-    assert random_points(9, 42)[:6] == pts  # a longer draw extends the list
+    assert sorted(random_points(DISTINCT_POINTS, 0)) == list(
+        range(1, DISTINCT_POINTS + 1))
+    with pytest.raises(ValueError):
+        random_points(DISTINCT_POINTS + 1, 0)
 
 
 def test_agreement_with_rewriter_small():
     from qserre.rewrite import base_rules, complete
     rs = complete(base_rules(2), 5)
-    oracle = IdealOracle(A2, RELS2)
     rng = random.Random(23)
     checked_members = 0
     for _ in range(60):
@@ -109,7 +108,7 @@ def test_agreement_with_rewriter_small():
             p = NcPoly.monomial(A2, u) * rel
         if p.degree is not None and p.degree > 5:
             continue
-        member = oracle.member(p, 5).member
+        member = PHI2.member(p)
         assert member == rs.reduce(p).is_zero
         checked_members += member
     assert checked_members > 5
@@ -118,32 +117,32 @@ def test_agreement_with_rewriter_small():
 def test_dimension_consistency_rank2():
     from qserre.rewrite import base_rules, complete, normal_word_counts
     rs = complete(base_rules(2), 6)
-    oracle = IdealOracle(A2, RELS2)
+    oracle = ReferenceOracle(A2, RELS2)
     assert normal_word_counts(rs, 6) == oracle.quotient_dimensions(6)
     assert oracle.quotient_dimensions(4) == [1, 2, 4, 6, 9]
 
 
 def test_dimension_consistency_rank3_low_degrees():
-    oracle = IdealOracle(A3, RELS3)
+    oracle = ReferenceOracle(A3, RELS3)
     assert oracle.quotient_dimensions(3) == [1, 3, 8, 17]
 
 
 def test_oracle_rejects_non_multihomogeneous_relations():
     x1, x2 = gens(A2)
     with pytest.raises(ValueError):
-        IdealOracle(A2, [x1 * x2 - x1 * x1])
+        ReferenceOracle(A2, [x1 * x2 - x1 * x1])
 
 
 # -- fraction-free elimination: same row spaces as the field elimination -------
 
 def test_quotient_dimensions_rank3_degree6():
-    oracle = IdealOracle(A3, RELS3)
+    oracle = ReferenceOracle(A3, RELS3)
     assert oracle.quotient_dimensions(6) == [1, 3, 8, 17, 33, 58, 97]
 
 
 def test_chi_e_blocks_rank2():
     a = chi_e_alphabet(2)
-    oracle = IdealOracle(a, chi_e_relations(a))
+    oracle = ReferenceOracle(a, chi_e_relations(a))
     assert oracle.quotient_dimensions(5) == [1, 4, 11, 24, 46, 80]
     ranks = {(1, 1, 1, 1): 22, (1, 1, 0, 2): 11, (0, 2, 2, 0): 5,
              (0, 0, 1, 3): 2, (2, 1, 1, 0): 11, (0, 0, 2, 2): 3}
@@ -152,8 +151,7 @@ def test_chi_e_blocks_rank2():
 
 
 def test_echelon_rows_are_integer_polynomials():
-    oracle = IdealOracle(A3, RELS3)
-    ech = oracle._block((1, 2, 1))
+    ech = ReferenceOracle(A3, RELS3)._block((1, 2, 1))
     assert ech.rank
     for row in ech.pivots.values():
         for coeffs in row.values():
@@ -164,15 +162,15 @@ def test_echelon_rows_are_integer_polynomials():
     x1, x2 = gens(A2)
     rel = RELS2[0].scale(QRat(1, (1, 0, 1)))
     assert len({c.den for c in rel.terms.values()}) == 2
-    oracle = IdealOracle(A2, RELS2)
-    assert oracle.member(rel, 8).member
-    assert not oracle.member(rel + (x1 * x2 * x1).scale(QRat(2, 3)), 8).member
+    oracle = ReferenceOracle(A2, RELS2)
+    assert oracle.member(rel)
+    assert not oracle.member(rel + (x1 * x2 * x1).scale(QRat(2, 3)))
 
 
 def test_stored_rows_are_primitive():
     # reduction sheds only integer content; each stored row must still come
     # out with polynomial content 1 and integer content 1
-    ech = IdealOracle(A3, RELS3)._block((2, 3, 2))
+    ech = ReferenceOracle(A3, RELS3)._block((2, 3, 2))
     assert ech.rank == 197
     for row in ech.pivots.values():
         entries = list(row.values())
@@ -183,22 +181,29 @@ def test_stored_rows_are_primitive():
         assert math.gcd(*(_content(v) for v in entries)) == 1
 
 
-# -- the precheck: the exact oracle's blocks at specialized points -------------
+# -- the oracles under test and their echelon references ------------------------
 
-PRECHECK_ORACLES = (IdealOracle(A2, RELS2), IdealOracle(A3, RELS3),
-                    IdealOracle(chi_e_alphabet(2),
-                                chi_e_relations(chi_e_alphabet(2))))
-# nonzero at every sample point, which is a ratio of distinct primes
+CE2 = chi_e_alphabet(2)
+BRAIDINGS = (serre_braiding, serre_braiding, chi_e_braiding)
+PHI_ORACLES = (PHI2, IdealOracle(A3, serre_braiding),
+               IdealOracle(CE2, chi_e_braiding))
+REFERENCES = (ReferenceOracle(A2, RELS2), ReferenceOracle(A3, RELS3),
+              ReferenceOracle(CE2, chi_e_relations(CE2)))
+# nonzero at every sample point s = 2^j
 NONVANISHING = (ONE, QRat(-2), Q, QRat(3) * S, q_power(-1))
 COEFFS = NONVANISHING + (ONE + Q, ONE / (ONE - Q), QRat(2, 3) * Q)
 
 
-def _padded_member(data, oracle, max_degree=6):
-    a = oracle.alphabet
+def _transposed(braiding):
+    return lambda alphabet: tuple(zip(*braiding(alphabet)))
+
+
+def _padded_member(data, ref, max_degree=6):
+    a = ref.alphabet
     letters = st.integers(0, len(a) - 1)
     p = NcPoly.zero(a)
     for _ in range(data.draw(st.integers(1, 3))):
-        rel = data.draw(st.sampled_from(oracle.relations))
+        rel = data.draw(st.sampled_from(ref.relations))
         room = max_degree - rel.degree
         u = tuple(data.draw(st.lists(letters, max_size=room)))
         v = tuple(data.draw(st.lists(letters, max_size=room - len(u))))
@@ -207,89 +212,79 @@ def _padded_member(data, oracle, max_degree=6):
     return p
 
 
+def _lone_word(data, ref):
+    """A padded member with one word alone in its letter-count block."""
+    a = ref.alphabet
+    w = tuple(data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1,
+                                 max_size=6)))
+    rest = {u: c for u, c in _padded_member(data, ref).terms.items()
+            if sorted(u) != sorted(w)}
+    return NcPoly(a, rest) + NcPoly.monomial(
+        a, w, data.draw(st.sampled_from(NONVANISHING)))
+
+
+# -- the precheck: the symmetrizer's zero test at s = 2^j -----------------------
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_precheck_never_rejects_a_member(data):
-    oracle = data.draw(st.sampled_from(PRECHECK_ORACLES))
-    p = _padded_member(data, oracle)
-    assert randomized_precheck(p, oracle, 2, data.draw(st.integers(0, 20)))
+    i = data.draw(st.integers(0, len(PHI_ORACLES) - 1))
+    p = _padded_member(data, REFERENCES[i])
+    assert randomized_precheck(p, PHI_ORACLES[i], 2,
+                               data.draw(st.integers(0, 20)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_precheck_rejects_a_lone_word_in_its_block(data):
-    # the ideal is spanned blockwise by padded relations and none of these
-    # algebras has zero divisors, so a single word alone in its letter-count
-    # block survives every specialization: never a member
-    oracle = data.draw(st.sampled_from(PRECHECK_ORACLES))
-    a = oracle.alphabet
-    n = len(a)
-    w = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
-    block = sorted(w)
-    rest = {u: c for u, c in _padded_member(data, oracle).terms.items()
-            if sorted(u) != block}
-    p = NcPoly(a, rest) + NcPoly.monomial(a, w, data.draw(st.sampled_from(NONVANISHING)))
-    assert not randomized_precheck(p, oracle, 2, data.draw(st.integers(0, 20)))
+    # the ideal is spanned blockwise by padded relations, so a word alone
+    # in its block is never a member; its image under Phi has coefficients
+    # that are sums of powers of s, positive at every s = 2^j
+    i = data.draw(st.integers(0, len(PHI_ORACLES) - 1))
+    p = _lone_word(data, REFERENCES[i])
+    assert not randomized_precheck(p, PHI_ORACLES[i], 2,
+                                   data.draw(st.integers(0, 20)))
 
 
-def test_precheck_builds_each_point_block_once(monkeypatch):
-    x1, x2, x3 = gens(A3)
-    p = RELS3[0] * x3 + x2 * RELS3[1] + RELS3[2].scale(Q)
-    oracle = IdealOracle(A3, RELS3)
-    assert randomized_precheck(p, oracle, 3, 7)
-    built = []
-    real = oracle_module._Echelon
-    monkeypatch.setattr(oracle_module, "_Echelon",
-                        lambda: built.append(1) or real())
-    assert randomized_precheck(p, oracle, 3, 7)
-    assert built == []
-    # control: a fresh oracle does build them, and the counter sees it
-    assert randomized_precheck(p, IdealOracle(A3, RELS3), 3, 7)
-    assert built
-
-
-def test_precheck_discards_inadmissible_points():
-    pole = QRat(1, (-2, 3))  # 1 / (3s - 2): a pole at s = 2/3
-    root = QRat((-2, 3))     # 3s - 2: the relation vanishes at s = 2/3
-    for scale in (pole, root):
-        oracle = IdealOracle(A2, [RELS2[0].scale(scale), RELS2[1]])
-        assert oracle.at_point(Fraction(2, 3)) is None
-        assert oracle.at_point(Fraction(3, 2)) is not None
+def test_precheck_stays_sound_where_a_denominator_vanishes(monkeypatch):
+    # 1/(s - 2) has its pole at j = 1.  Drawing every point, that one
+    # among them, never rejects a member and still rejects a non-member
     x1, x2 = gens(A2)
-    oracle = IdealOracle(A2, [RELS2[0].scale(pole), RELS2[1]])
-    # draw every sample point, 2/3 among them: the answers stay sound
-    assert randomized_precheck(RELS2[0] * x1, oracle, 181, 0)
-    assert not randomized_precheck(x1 * x2, oracle, 181, 0)
-    assert oracle._points[Fraction(2, 3)] is None
-    with pytest.raises(ValueError):
-        randomized_precheck(RELS2[0] * x1, oracle, 182, 0)
-
-
-def test_precheck_draws_points_once_per_seed(monkeypatch):
-    x1, x2 = gens(A2)
-    oracle = IdealOracle(A2, RELS2)
-    draws = []
-    real = oracle_module.random_points
+    pole = QRat(1, (-2, 1))
+    member = (RELS2[0] * x1).scale(pole)
+    assert randomized_precheck(member, PHI2, DISTINCT_POINTS, 0)
+    assert not randomized_precheck((x1 * x2).scale(pole), PHI2,
+                                   DISTINCT_POINTS, 0)
+    # at s = 2 alone: the block is cleared by the product of its distinct
+    # denominators, s - 2 and (s - 2)(s + 1), and every cleared entry then
+    # has a factor s - 2, so this non-member encodes to zero there and the
+    # precheck passes it on to the exact test, which rejects it
+    both = (x1 * x2).scale(pole) + (x2 * x1).scale(QRat(1, (-2, -1, 1)))
     monkeypatch.setattr(oracle_module, "random_points",
-                        lambda count, seed: draws.append(seed) or real(count, seed))
-    assert not randomized_precheck(x1 * x2, oracle, 3, 5)
-    assert draws == [5]  # control: a cold oracle draws
-    assert randomized_precheck(RELS2[0] * x1, oracle, 3, 5)
-    assert not randomized_precheck(x1 * x2, oracle, 2, 5)
-    assert draws == [5]
-    assert oracle.sample_points(3, 5) == real(3, 5)
+                        lambda count, seed: (1,))
+    assert randomized_precheck(member, PHI2, 1, 0)
+    assert randomized_precheck(both, PHI2, 1, 0)
+    assert not PHI2.member(both)
+    # control: the lone word over s - 2 alone clears to x1 x2, nonzero at
+    # s = 2, and over 1/(s - 4) as well
+    assert not randomized_precheck((x1 * x2).scale(pole), PHI2, 1, 0)
+    assert not randomized_precheck((x1 * x2).scale(QRat(1, (-4, 1))),
+                                   PHI2, 1, 0)
+
+
+@pytest.mark.parametrize("i", range(len(PHI_ORACLES)))
+def test_precheck_with_the_transposed_braiding_rejects_a_relation(i):
+    # mutation control: the precheck reads the braiding, so with chi
+    # transposed it rejects a defining relation that it passes with chi
+    ref = REFERENCES[i]
+    mutant = IdealOracle(ref.alphabet, _transposed(BRAIDINGS[i]))
+    for rel in ref.relations:
+        assert randomized_precheck(rel, PHI_ORACLES[i], 2, 0)
+    assert any(not randomized_precheck(rel, mutant, 2, 0)
+               for rel in ref.relations)
 
 
 # -- the quantum symmetrizer: how the exact oracle decides ---------------------
-
-BRAIDINGS = (serre_braiding, serre_braiding, chi_e_braiding)
-PHI_ORACLES = tuple(IdealOracle(o.alphabet, o.relations, b)
-                    for o, b in zip(PRECHECK_ORACLES, BRAIDINGS))
-
-
-def _transposed(braiding):
-    return lambda alphabet: tuple(zip(*braiding(alphabet)))
-
 
 def _ref_phi(vec, chi):
     """Phi(vec), word by word, on explicit Laurent coefficients.
@@ -382,7 +377,7 @@ DENOMINATOR_CASES = [
 def test_zero_test_matches_reference_phi(vec, chi, dens):
     # the reference clears denominators by their lcm, as the echelon does
     qvec = {w: QRat(p, dens.get(w, (1,))) for w, p in vec.items()}
-    cleared = oracle_module._clear_denominators(qvec)
+    cleared = _clear_denominators(qvec)
     assert _kills(vec, chi, dens) == (not _ref_phi(_laurent(cleared), chi))
 
 
@@ -407,14 +402,14 @@ def test_zero_test_matches_reference_phi_on_drawn_vectors(data):
     # a few words of one block with large integer polynomial coefficients,
     # some of the form c (s - 2^k), plus a large multiple of a member of the
     # block, so that many images cancel and some nearly do
-    chi, oracle = data.draw(st.sampled_from(
-        [(CHI2, PHI_ORACLES[0]), (CHI3, PHI_ORACLES[1]),
-         (CHIE2, PHI_ORACLES[2])]))
-    a = oracle.alphabet
+    chi, ref = data.draw(st.sampled_from(
+        [(CHI2, REFERENCES[0]), (CHI3, REFERENCES[1]),
+         (CHIE2, REFERENCES[2])]))
+    a = ref.alphabet
     letters = st.lists(st.integers(0, len(a) - 1), max_size=2).map(tuple)
     member = NcPoly.zero(a)
     for _ in range(data.draw(st.integers(1, 3))):
-        rel = data.draw(st.sampled_from(oracle.relations))
+        rel = data.draw(st.sampled_from(ref.relations))
         u, v = data.draw(letters), data.draw(letters)
         c = QRat(data.draw(st.integers(-5, 5))) * S  # s clears chi-e's 1/s
         member = member + (NcPoly.monomial(a, u) * rel
@@ -451,14 +446,8 @@ def test_symmetrizer_agrees_with_the_echelon(data):
     # coefficient-weighted padded members are members by both; a word alone
     # in its block is a non-member by both, slice by slice
     i = data.draw(st.integers(0, len(PHI_ORACLES) - 1))
-    phi, ech = PHI_ORACLES[i], PRECHECK_ORACLES[i]
-    a = phi.alphabet
-    member = _padded_member(data, phi)
-    w = tuple(data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1,
-                                 max_size=6)))
-    rest = {u: c for u, c in member.terms.items() if sorted(u) != sorted(w)}
-    lone = NcPoly(a, rest) + NcPoly.monomial(
-        a, w, data.draw(st.sampled_from(NONVANISHING)))
+    phi, ech = PHI_ORACLES[i], REFERENCES[i]
+    member, lone = _padded_member(data, ech), _lone_word(data, ech)
     for p, want in ((member, True), (lone, False)):
         got = [(phi.slice_member(s), ech.slice_member(s))
                for s in split_homogeneous(p)]
@@ -471,10 +460,10 @@ def test_transposed_braiding_fails_the_agreement(i):
     # mutation control: the transposed chi no longer kills the ideal.  For
     # the x family it leaves every cubic relation uncancelled; for chi-e the
     # e-braiding is symmetric, so only the chi reordering shows it
-    ech = PRECHECK_ORACLES[i]
-    phi = IdealOracle(ech.alphabet, ech.relations, _transposed(BRAIDINGS[i]))
-    missed = [r for r in ech.relations if not phi.member(r).member]
-    assert missed and all(ech.member(r).member for r in missed)
+    ech = REFERENCES[i]
+    phi = IdealOracle(ech.alphabet, _transposed(BRAIDINGS[i]))
+    missed = [r for r in ech.relations if not phi.member(r)]
+    assert missed and all(ech.member(r) for r in missed)
     if BRAIDINGS[i] is serre_braiding:
         assert missed == [r for r in ech.relations if r.degree == 3]
 
@@ -485,10 +474,10 @@ def test_transposed_braiding_fails_the_agreement(i):
 def test_symmetrizer_kills_every_relation(alphabet, relations, braiding):
     # up to eight letters, three bits per packed letter from five letters on
     rels = relations(alphabet)
-    phi = IdealOracle(alphabet, rels, braiding)
-    assert all(phi.member(r).member for r in rels)
+    phi = IdealOracle(alphabet, braiding)
+    assert all(phi.member(r) for r in rels)
     w, c = next(iter(rels[0].terms.items()))  # one word of a relation alone
-    assert not phi.member(NcPoly.monomial(alphabet, w, c)).member
+    assert not phi.member(NcPoly.monomial(alphabet, w, c))
 
 
 def _qrat_vector(laurent):
@@ -505,15 +494,15 @@ def test_symmetrizer_image_rank_is_the_quotient_dimension(i, max_degree):
     # exact ranks, no specialization: the images Phi(w) of a block's words go
     # into the fraction-free echelon, and their rank must be the block's
     # quotient dimension, perm count minus the echelon rank of the ideal
-    ech = PRECHECK_ORACLES[i]
+    ech = REFERENCES[i]
     n = len(ech.alphabet)
     chi = BRAIDINGS[i](ech.alphabet)
     for degree in range(max_degree + 1):
-        for content in oracle_module._compositions(degree, n):
-            image = oracle_module._Echelon()
-            for w in oracle_module._multiset_words(content):
+        for content in _compositions(degree, n):
+            image = _Echelon()
+            for w in _multiset_words(content):
                 image.insert(_qrat_vector(_ref_phi({w: {0: 1}}, chi)))
-            assert image.rank == (oracle_module._perm_count(content)
+            assert image.rank == (_perm_count(content)
                                   - ech._block(content).rank), content
 
 

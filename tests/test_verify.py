@@ -1,6 +1,5 @@
 import pytest
 
-import qserre.oracle as oracle_module
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, QRat, q_power
@@ -230,15 +229,15 @@ def test_mutant_qproduct_power_fails(v2):
 def test_mutant_serre_coefficient_fails():
     # a presentation with (1+q) replaced by 2q is not satisfied by the suite
     from qserre.freealg import serre_relations
-    from qserre.oracle import IdealOracle
+    from reference_echelon import ReferenceOracle
     a = x_alphabet(2)
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     mutant = [x1 * x1 * x2 + (x2 * x1 * x1).scale(q_power(1))
               - (x1 * x2 * x1).scale(Q + Q),
               serre_relations(a)[1]]
-    oracle = IdealOracle(a, mutant)
+    oracle = ReferenceOracle(a, mutant)
     real = serre_relations(a)[0]
-    assert not oracle.member(real, 8).member
+    assert not oracle.member(real)
 
 
 def test_mutant_c_element_not_central(v2):
@@ -357,7 +356,7 @@ def test_precheck_points_lie_in_the_drawable_range(points, ok):
             Verifier(2, precheck_points=points)
 
 
-# -- work-count guard: gcd work in Q(s) and in the oracle's echelons -----------
+# -- work-count guard: gcd work in Q(s) ---------------------------------------
 
 def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
     # one qq check at rank 3 on completed rules: before Henrici sums, coprime
@@ -379,29 +378,19 @@ def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
         return prem(a, b)
 
     monkeypatch.setattr(qfield_module, "_pgcd", counting_pgcd)
-    monkeypatch.setattr(oracle_module, "_pgcd", counting_pgcd)
     monkeypatch.setattr(qfield_module, "_prem", counting_prem)
     assert v.check_qq(2, 1, 0).passed
     assert calls["pgcd"] <= 46000
     assert calls["prem"] <= 6000
 
 
-def test_qq_rank3_builds_no_echelon_and_skips_no_slice(monkeypatch):
+def test_qq_rank3_builds_no_echelon_and_skips_no_slice():
     # the exact oracle decides every slice, degree 9 included, with the
-    # quantum symmetrizer: no block elimination and no cap note
-    v = Verifier(3)
-    built = []
-    real = oracle_module._Echelon
-    monkeypatch.setattr(oracle_module, "_Echelon",
-                        lambda: built.append(1) or real())
-    r = v.check_qq(2, 1, 0)
+    # quantum symmetrizer (the only oracle, so no block elimination) and
+    # leaves no cap note
+    r = Verifier(3).check_qq(2, 1, 0)
     assert r.passed and r.methods == ("rewrite", "oracle")
     assert not any("skipped slices" in n for n in r.notes)
-    assert built == []
-    # control: the echelon route of the same oracle does build blocks
-    assert oracle_module.IdealOracle(v.alphabet, v.relations).member(
-        v.relations[0] * v.relations[1]).member
-    assert built
 
 
 def test_member_over_a_denominator_vanishing_at_the_encoding_base(v3):
