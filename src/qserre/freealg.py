@@ -5,10 +5,6 @@ sparse maps word -> coefficient.  The constructors at the bottom build
 the finite q-products, the k and c elements, the ordered Q-operator
 products and the two sides of the braid-type exchange relation exactly
 as free-algebra elements, before any relations are imposed.
-
-Coefficients are QRat by default but any commutative ring element with
-+, -, * and truthiness works (the series layer uses polynomials in
-central parameters).
 """
 
 from __future__ import annotations
@@ -249,7 +245,7 @@ class NcPoly:
             return "0"
         chunks = []
         for w, c in self.sorted_terms():
-            neg = getattr(c, "is_negative", False)
+            neg = c.is_negative
             if neg:
                 c = -c
             cs = str(c)
