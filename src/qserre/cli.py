@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
-such as a bad rank, an empty grid, an oracle cap or a rule file that
-fails its checks), 3 when rewriting and the oracle disagree, which is an
+such as a bad rank, an empty grid or a rule file that fails its
+checks), 3 when rewriting and the oracle disagree, which is an
 engine bug.  Every command takes its rule set from _rule_set.  Output is
 deterministic for a fixed configuration and seed; structured mode emits
 one JSON record per check (the millis field is wall time and is the one
@@ -39,15 +39,13 @@ RATIO_CUTOFF = 6
 FORMAL_CUTOFF = 4
 
 
-def build_parser():
+def shared_parser():
+    """The flags every command takes; README's "Shared flags" lists them."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--rank", type=int, default=2)
     shared.add_argument("--completion-degree", type=int, default=None,
                         help="confluence certification bound; default is "
                              "the computed estimate, at least 8")
-    shared.add_argument("--oracle-cap", type=int, default=None,
-                        help="highest slice degree the oracle decides; "
-                             "default no cap")
     shared.add_argument("--mode", choices=("rewrite", "oracle", "both"),
                         default="both")
     shared.add_argument("--precheck-points", type=int, default=2,
@@ -63,7 +61,11 @@ def build_parser():
                         help="load a dumped rule set instead of completing")
     shared.add_argument("--dump-rules", metavar="FILE",
                         help="write the rule set used to FILE")
+    return shared
 
+
+def build_parser():
+    shared = shared_parser()
     parser = argparse.ArgumentParser(
         prog="qserre",
         description="exact verification of commuting Q-operator families "
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
     except ValueError as err:
-        # bad ranks, windows, grids, caps and rule files
+        # bad ranks, windows, grids and rule files
         print("error: %s" % err, file=sys.stderr)
         return 2
 
@@ -283,8 +285,7 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
             yield v.check_qq(lam, mu, nu)
     elif suite == "chie":
         yield from ChiEVerifier(
-            rank, completion_degree=v.completion_degree,
-            oracle_cap=v.oracle_cap, mode=v.mode,
+            rank, completion_degree=v.completion_degree, mode=v.mode,
             precheck_points=v.precheck_points, seed=v.seed).family_reports()
     elif suite == "ratio":
         for mu, lam in RATIO_WINDOWS:
@@ -312,12 +313,11 @@ def cmd_verify(args) -> int:
         lambda_max = args.lambda_max
         qq_grid = qq_windows(args.rank, lambda_max)
     needed = max(qq_degree(args.rank, qq_grid) if s == "qq"
-                 else needed_completion_degree(s, args.rank, lambda_max)
+                 else needed_completion_degree(s, lambda_max)
                  for s in suites)
     rewrites = any(s not in SUITES_WITHOUT_X_RULES for s in suites)
     rules, degree = _rule_set(args, Verifier if rewrites else None, needed)
-    verifier = Verifier(args.rank, completion_degree=degree,
-                        oracle_cap=args.oracle_cap, mode=args.mode,
+    verifier = Verifier(args.rank, completion_degree=degree, mode=args.mode,
                         precheck_points=args.precheck_points,
                         seed=args.seed, rules=rules)
 

@@ -17,8 +17,8 @@ from qserre.qfield import ONE, QRat, ZERO, q_power, s_power
 class Alphabet:
     """Ordered families of generators, e.g. x1..xr or chi1..chir, e1..er.
 
-    The letter order (family by family, then index) is also the default
-    precedence for the deg-lex monomial order downstream.
+    The letter order (family by family, then index) is also the letter
+    precedence of the deg-lex monomial order, deg_lex_key.
     """
 
     __slots__ = ("families", "letters", "_index")
@@ -86,7 +86,13 @@ class SpectralWindow:
                              % (self.lam, self.mu))
 
 
-def _word_key(word):
+def deg_lex_key(word):
+    """Degree first, then lexicographic in the alphabet's letter order.
+
+    The monomial order of the rewriting rules and of display.  It is
+    compatible with concatenation, so oriented homogeneous rules always
+    rewrite downhill.
+    """
     return (len(word), word)
 
 
@@ -146,10 +152,6 @@ class NcPoly:
 
     def coefficient(self, word) -> QRat:
         return self.terms.get(tuple(word), ZERO)
-
-    def homogeneous_part(self, d: int) -> "NcPoly":
-        return NcPoly(self.alphabet,
-                      {w: c for w, c in self.terms.items() if len(w) == d})
 
     def map_coefficients(self, f) -> "NcPoly":
         return NcPoly(self.alphabet,
@@ -237,7 +239,7 @@ class NcPoly:
 
     def sorted_terms(self):
         """Terms in descending deg-lex order of words."""
-        return sorted(self.terms.items(), key=lambda t: _word_key(t[0]),
+        return sorted(self.terms.items(), key=lambda t: deg_lex_key(t[0]),
                       reverse=True)
 
     def __str__(self):

@@ -249,8 +249,16 @@ class QRat:
 
     @property
     def is_negative(self):
-        """Sign of the leading numerator coefficient (den is positive)."""
-        return bool(self.num) and self.num[-1] < 0
+        """Is the first coefficient str(self) shows negative?  Not in -self."""
+        n = self._shown()[0]
+        return bool(n) and next(c for c in n if c) < 0
+
+    def _shown(self):
+        """(num, den) as str shows them: den's lowest coefficient positive."""
+        n, d = self.num, self.den
+        if next(c for c in d if c) < 0:  # 1-q, not -1+q
+            n, d = _pneg(n), _pneg(d)
+        return n, d
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -351,12 +359,9 @@ class QRat:
         return "QRat(%s)" % self
 
     def __str__(self):
-        n, d = self.num, self.den
+        n, d = self._shown()
         if d == (1,):
             return _poly_str(n)
-        # display with a positive lowest denominator coefficient (1-q, not -1+q)
-        if next(c for c in d if c) < 0:
-            n, d = _pneg(n), _pneg(d)
         return "%s/%s" % (_wrap(_poly_str(n)), _wrap(_poly_str(d)))
 
 

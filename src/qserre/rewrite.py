@@ -15,42 +15,28 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from qserre.freealg import Alphabet, NcPoly, chi_e_relations, serre_relations, x_alphabet, chi_e_alphabet
+from qserre.freealg import (
+    Alphabet, NcPoly, chi_e_alphabet, chi_e_relations, deg_lex_key,
+    serre_relations, x_alphabet,
+)
 from qserre.qfield import ONE
 
 
-class DegLexOrder:
-    """Degree first, then lexicographic in the alphabet's letter order.
-
-    Compatible with concatenation, so oriented homogeneous rules always
-    rewrite downhill.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def key(word):
-        return (len(word), word)
-
-    def leading_word(self, p: NcPoly):
-        return max(p.terms, key=self.key)
-
-
 class RewriteRule:
-    """lhs word -> rhs polynomial, homogeneous, strictly order-decreasing."""
+    """lhs word -> rhs polynomial, homogeneous, strictly deg-lex decreasing."""
 
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs, rhs: NcPoly, order: DegLexOrder):
+    def __init__(self, lhs, rhs: NcPoly):
         lhs = tuple(lhs)
         if not lhs:
             raise ValueError("empty left-hand side")
-        key = order.key(lhs)
+        key = deg_lex_key(lhs)
         for w in rhs.terms:
             if len(w) != len(lhs):
                 raise ValueError("rule is not homogeneous: %s -> %s"
                                  % (lhs, rhs))
-            if order.key(w) >= key:
+            if deg_lex_key(w) >= key:
                 raise ValueError("rhs word %s is not smaller than lhs %s"
                                  % (w, lhs))
         object.__setattr__(self, "lhs", lhs)
@@ -66,15 +52,15 @@ class RewriteRule:
         return "<Rule %s -> %s>" % (self.rhs.alphabet.word_str(self.lhs), self.rhs)
 
 
-def orient(relation: NcPoly, order: DegLexOrder) -> RewriteRule:
+def orient(relation: NcPoly) -> RewriteRule:
     """Turn a relation into the monic rule rewriting its leading word."""
     if relation.is_zero:
         raise ValueError("cannot orient the zero relation")
-    lead = order.leading_word(relation)
+    lead = max(relation.terms, key=deg_lex_key)
     lc = relation.terms[lead]
     rest = relation - NcPoly.monomial(relation.alphabet, lead, lc)
     rhs = rest.map_coefficients(lambda c: -(c / lc))
-    return RewriteRule(lead, rhs, order)
+    return RewriteRule(lead, rhs)
 
 
 class _Reducer:
@@ -158,9 +144,9 @@ class ReduceOutcome:
 class RuleSet:
     """Inter-reduced rewrite rules with a confluence certificate up to a degree."""
 
-    __slots__ = ("alphabet", "order", "rules", "completed_degree", "_reducer")
+    __slots__ = ("alphabet", "rules", "completed_degree", "_reducer")
 
-    def __init__(self, alphabet, order, rules, completed_degree=0):
+    def __init__(self, alphabet, rules, completed_degree=0):
         rules = tuple(rules)
         lhss = [r.lhs for r in rules]
         for a in lhss:
@@ -169,7 +155,6 @@ class RuleSet:
                     raise ValueError("rule set not inter-reduced: %s inside %s"
                                      % (a, b))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "completed_degree", completed_degree)
         object.__setattr__(self, "_reducer", _Reducer(rules))
@@ -196,9 +181,7 @@ def _contains(hay, needle):
 
 
 def _oriented(alphabet: Alphabet, relations) -> RuleSet:
-    order = DegLexOrder()
-    return RuleSet(alphabet, order, [orient(rel, order) for rel in relations],
-                   completed_degree=0)
+    return RuleSet(alphabet, [orient(rel) for rel in relations])
 
 
 def base_rules(rank: int) -> RuleSet:
@@ -248,7 +231,7 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
     """
     if max_degree < 3 and rules.rules:
         raise ValueError("max_degree must be at least 3")
-    alphabet, order = rules.alphabet, rules.order
+    alphabet = rules.alphabet
     work = list(rules.rules)
     seq = 0
     heap = []
@@ -273,7 +256,7 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         nf = reducer.normal_form(poly)
         if nf.is_zero:
             return
-        new = orient(nf, order)
+        new = orient(nf)
         for idx, r in enumerate(work):
             if r is not None and _contains(r.lhs, new.lhs):
                 candidates.append(r.as_poly())
@@ -304,9 +287,9 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
     for r in final:
         others = _Reducer([x for x in final if x is not r])
         rhs = others.normal_form(r.rhs)
-        tidy.append(RewriteRule(r.lhs, rhs, order))
-    tidy.sort(key=lambda r: order.key(r.lhs))
-    return RuleSet(alphabet, order, tidy, completed_degree=max_degree)
+        tidy.append(RewriteRule(r.lhs, rhs))
+    tidy.sort(key=lambda r: deg_lex_key(r.lhs))
+    return RuleSet(alphabet, tidy, completed_degree=max_degree)
 
 
 def critical_pair_residuals(rules: RuleSet, max_degree: int):
@@ -361,7 +344,6 @@ def load_rules(text: str, alphabet: Alphabet = None) -> RuleSet:
     from qserre.exprparse import parse_poly
     completed = 0
     rules = []
-    order = DegLexOrder()
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -382,7 +364,7 @@ def load_rules(text: str, alphabet: Alphabet = None) -> RuleSet:
         lhs_txt, rhs_txt = line.split("->", 1)
         lhs = tuple(alphabet.index(tok) for tok in lhs_txt.split())
         rhs = parse_poly(rhs_txt.strip(), alphabet)
-        rules.append(RewriteRule(lhs, rhs, order))
+        rules.append(RewriteRule(lhs, rhs))
     if alphabet is None:
         raise ValueError("empty rule file")
-    return RuleSet(alphabet, order, rules, completed_degree=completed)
+    return RuleSet(alphabet, rules, completed_degree=completed)

@@ -124,7 +124,7 @@ def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
     """Exchange relation for series R-matrices, order by order in x-degree.
 
     The difference is split by parameter monomial and each coefficient is
-    decided by v.decide, with v's mode, oracle cap and rules; the report
+    decided by v.decide, with v's mode and rules; the report
     passes when every coefficient is a member, which is membership
     identically in L, M, N.  Integer specializations of the parameters
     must also reproduce the finite-window polynomials exactly.

@@ -3,9 +3,9 @@
 Each check builds the two sides of an identity as free-algebra elements
 and decides whether their difference lies in the defining ideal, by
 rewriting to a canonical normal form and by the independent oracle,
-which applies the quantum symmetrizer to every slice unless a cap is
-set.  The two decision paths must agree; a disagreement is an engine bug
-and raises instead of reporting.
+which applies the quantum symmetrizer to every slice.  The two decision
+paths must agree; a disagreement is an engine bug and raises instead of
+reporting.
 
 Telescoping and factor commutativity hold in the free algebra itself and
 are checked by plain expansion, with no ideal involved.
@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 from qserre.freealg import (
     NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
-    chi_e_braiding, chi_e_relations, k_element, lemma_product, qproduct,
-    serre_braiding, serre_relations, x_alphabet,
+    chi_e_braiding, k_element, lemma_product, qproduct, serre_braiding,
+    x_alphabet,
 )
-from qserre.oracle import (
-    DISTINCT_POINTS, IdealOracle, randomized_precheck, split_homogeneous,
-)
+from qserre.oracle import DISTINCT_POINTS, IdealOracle, randomized_precheck
 from qserre.qfield import ONE, q_power
 from qserre.rewrite import RuleSet, base_rules, chi_e_rules, complete
 
@@ -62,18 +60,16 @@ class Verifier:
     Completion and the oracle are built lazily on first use and keep memo
     tables that later checks reuse, so one instance serves its checks one
     after another.  A subclass for another presentation supplies its
-    alphabet, relations, braiding and raw rules.  oracle_cap None, the
-    default, lets the oracle decide slices of every degree.
+    alphabet, braiding and raw rules.
     """
 
     alphabet_for = staticmethod(x_alphabet)
-    relations_for = staticmethod(serre_relations)
     braiding_for = staticmethod(serre_braiding)
     raw_rules = staticmethod(base_rules)
 
     def __init__(self, rank: int, completion_degree: int = 8,
-                 oracle_cap=None, mode: str = "both",
-                 precheck_points: int = 2, seed: int = 0, rules=None):
+                 mode: str = "both", precheck_points: int = 2, seed: int = 0,
+                 rules=None):
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
         if not 0 <= precheck_points <= DISTINCT_POINTS:
@@ -83,11 +79,9 @@ class Verifier:
         self.rank = rank
         self.alphabet = self.alphabet_for(rank)
         self.completion_degree = completion_degree
-        self.oracle_cap = oracle_cap
         self.mode = mode
         self.precheck_points = precheck_points
         self.seed = seed
-        self.relations = self.relations_for(self.alphabet)
         if rules is not None and rules.alphabet != self.alphabet:
             raise ValueError("supplied rules are for %r, not %r"
                              % (rules.alphabet, self.alphabet))
@@ -115,20 +109,18 @@ class Verifier:
 
         A zero reduction proves membership at any degree; a nonzero one
         refutes it only within the certified degree.  The oracle, the
-        only one in the package, decides each slice with
+        only one in the package, decides every slice with
         self.oracle.slice_member, which applies the quantum symmetrizer
-        Phi and needs no elimination, so with no oracle_cap it covers
-        every slice; the echelon the tests compare it against lives in
-        tests/reference_echelon.py.  With a cap it proves
-        membership only when it covered every slice, but any non-member
-        slice it finds is a definite refutation.  Contradictory definite
-        verdicts mean the engine is broken and raise.
+        Phi and needs no elimination, so its verdict is always definite;
+        the echelon the tests compare it against lives in
+        tests/reference_echelon.py.  Contradictory definite verdicts mean
+        the engine is broken and raise.
 
         The randomized precheck, which can only reject, runs before the
         oracle unless rewriting has already proved membership: it is the
         same symmetrizer test at s = 2^j for a few drawn j.  The exact
-        oracle then runs on every checkable slice either way, so a
-        rewriting bug still surfaces as a disagreement.
+        oracle then runs on every slice either way, so a rewriting bug
+        still surfaces as a disagreement.
         """
         t0 = time.perf_counter()
         notes = list(notes)
@@ -148,36 +140,18 @@ class Verifier:
                 notes.append("degree exceeds certified completion bound")
 
         if self.mode in ("oracle", "both"):
-            slices = split_homogeneous(diff)
-            cap = self.oracle_cap
-            high = [s for s in slices if cap is not None and s.degree > cap]
-            if high and self.mode == "oracle":
-                raise ValueError(
-                    "slice of degree %d exceeds the oracle cap %d; "
-                    "use the rewriting path"
-                    % (max(s.degree for s in high), cap))
-            checkable = [s for s in slices if cap is None or s.degree <= cap]
-            if high:
-                notes.append("oracle skipped slices of degree > %d" % cap)
-            if checkable or not high:
-                low_part = diff if not high else NcPoly(
-                    diff.alphabet, {w: c for s in checkable
-                                    for w, c in s.vector.terms.items()})
-                # a zero reduction proved membership: the precheck could only
-                # pass, and the exact oracle below still cross-checks it
-                if in_ideal or randomized_precheck(
-                        low_part, self.oracle, self.precheck_points,
-                        self.seed):
-                    ok = all(self.oracle.slice_member(s) for s in checkable)
-                else:
-                    ok = False
-                methods.append("oracle")
-                if not ok:
-                    not_in_ideal = True
-                elif not high:
-                    in_ideal = True
-                if self.mode == "oracle":
-                    residual = NcPoly.zero(diff.alphabet) if ok else diff
+            # a zero reduction proved membership: the precheck could only
+            # pass, and the exact oracle still cross-checks it
+            prechecked = in_ideal or randomized_precheck(
+                diff, self.oracle, self.precheck_points, self.seed)
+            ok = prechecked and self.oracle.member(diff)
+            methods.append("oracle")
+            if ok:
+                in_ideal = True
+            else:
+                not_in_ideal = True
+            if self.mode == "oracle":
+                residual = NcPoly.zero(diff.alphabet) if ok else diff
 
         if in_ideal and not_in_ideal:
             raise MethodDisagreement(
@@ -289,15 +263,12 @@ class ChiEVerifier(Verifier):
     """Checks that y_n = chi_n e_n satisfies the x-family relations."""
 
     alphabet_for = staticmethod(chi_e_alphabet)
-    relations_for = staticmethod(chi_e_relations)
     braiding_for = staticmethod(chi_e_braiding)
     raw_rules = staticmethod(chi_e_rules)
 
     def __init__(self, rank: int, completion_degree: int = 6,
-                 oracle_cap=None, mode: str = "both",
-                 precheck_points: int = 2, seed: int = 0):
-        super().__init__(rank, completion_degree, oracle_cap, mode,
-                         precheck_points, seed)
+                 mode: str = "both", precheck_points: int = 2, seed: int = 0):
+        super().__init__(rank, completion_degree, mode, precheck_points, seed)
 
     def _y(self, i):
         return (NcPoly.generator(self.alphabet, "chi%d" % i)
@@ -378,16 +349,14 @@ def qq_degree(rank: int, windows) -> int:
     return max((rank * (lam + mu) for lam, mu, nu in windows), default=0)
 
 
-def needed_completion_degree(suite: str, rank: int, lambda_max: int) -> int:
-    """Largest polynomial degree a suite run will feed the reducer."""
+def needed_completion_degree(suite: str, lambda_max: int) -> int:
+    """Largest polynomial degree a suite other than qq feeds the reducer."""
     if suite in ("telescoping", "ratio"):
         return 0
     if suite == "central":
         return 3
     if suite in ("lemma", "ayb", "far"):
         return 2 * lambda_max
-    if suite == "qq":
-        return qq_degree(rank, qq_windows(rank, lambda_max))
     if suite == "chie":
         return 6
     if suite == "ayb-formal":

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qserre.cli import main
+from qserre.cli import main, shared_parser
 from qserre.exprparse import ParseError, parse_expression, parse_poly
 from qserre.freealg import (
     NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct,
@@ -23,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# -- documentation -------------------------------------------------------------
+
+def test_readme_names_exactly_the_shared_flags():
+    # README's "Shared flags" sentence lists every flag of the shared
+    # parser and, beside verify's window flags, nothing else
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"Shared flags:(.*?)\.\s", readme, re.S).group(1)
+    named = set(re.findall(r"--[a-z-]+", sentence))
+    shared = {opt for action in shared_parser()._actions
+              for opt in action.option_strings}
+    assert shared <= named
+    assert named - shared == {"--lambda", "--mu", "--nu", "--lambda-max"}
 
 
 # -- expression parsing -------------------------------------------------------
@@ -82,14 +96,26 @@ def test_roundtrip_canonical_rendering():
             terms[w] = QRat(num, den)
         p = NcPoly(A2, terms)
         assert parse_poly(str(p), A2) == p
+        assert "(-" not in str(p)
+
+
+# rendered texts: terms in descending deg-lex order, and the sign of each
+# coefficient pulled out, so that no coefficient is shown as "(-..."
+CANONICAL_TEXTS = (
+    "((1+q)/q)*x1 x2 x1 - (1/q)*x1 x1 x2", "x1 x2", "1", "0", "-x2 + x1",
+    "(1/(1-q))*x1", "(1-q)*x1", "-(1-q)*x1",
+    "-(1/(1-q))*x2 x1 + (1/(1-q))*x1 x2",
+    "-(1/(1+q))*x2 + (q/(1-q^2))*x1",
+)
 
 
 def test_roundtrip_spec_outputs():
-    for text in ("((1+q)/q)*x1 x2 x1 - (1/q)*x1 x1 x2",
-                 "x1 x2", "1", "0", "-x2 + x1",
-                 "(1/(1-q))*x1 x2 - (1/(1-q))*x2 x1"):
+    for text in CANONICAL_TEXTS + ("(1/(1-q))*x1 x2 - (1/(1-q))*x2 x1",
+                                   "(q/(1-q^2))*x1 - (1/(1+q))*x2"):
         p = parse_poly(text, A2)
         assert parse_poly(str(p), A2) == p
+    for text in CANONICAL_TEXTS:
+        assert str(parse_poly(text, A2)) == text
 
 
 # -- normal-form command ------------------------------------------------------
@@ -99,6 +125,13 @@ def test_cmd_normal_form_serre(capsys):
     assert code == 0
     assert out.splitlines()[0] == "((1+q)/q)*x1 x2 x1 - (1/q)*x1 x1 x2"
     assert "certified" in out.splitlines()[1]
+
+
+def test_cmd_normal_form_shows_one_sign(capsys):
+    code, out, _ = run(capsys, "normal-form", "(1/(1-q))*x1")
+    assert code == 0 and out.splitlines()[0] == "(1/(1-q))*x1"
+    code, out, _ = run(capsys, "normal-form", "x1 x2/(q-1)")
+    assert code == 0 and out.splitlines()[0] == "-(1/(1-q))*x1 x2"
 
 
 def test_cmd_normal_form_trivial_product(capsys):
@@ -393,15 +426,14 @@ def _one_error_line(code, out, err, want_code, phrase):
 
 
 @pytest.mark.parametrize("argv, phrase", [
-    # ayb at rank 2 reaches degree 10, above the default cap 8
-    (("verify", "all", "--rank", "2", "--mode", "oracle", "--oracle-cap", "8"),
-     "slice of degree 10 exceeds the oracle cap 8"),
-    (("verify", "central", "--mode", "oracle", "--oracle-cap", "2"),
-     "exceeds the oracle cap 2"),
-    # the chi-e families have degree 6: with cap 4 nothing can decide them
-    # in oracle mode, a configuration error rather than a failed identity
-    (("verify", "chie", "--mode", "oracle", "--oracle-cap", "4"),
-     "slice of degree 6 exceeds the oracle cap 4"),
+    # qq's need comes from the run's own grid: --lambda 5 at rank 2 is the
+    # window (5, 1, 0), of degree 12
+    (("verify", "qq", "--rank", "2", "--lambda", "5",
+      "--completion-degree", "11"),
+     "completion degree 11 is below the computed requirement 12"),
+    (("verify", "far", "--rank", "2"), "suite 'far' needs rank >= 3"),
+    (("verify", "ayb", "--lambda", "1", "--mu", "2"),
+     "need lam >= mu >= nu, got (1, 2, 0)"),
     (("verify", "all", "--rank", "0"), "no suite runs at rank 0"),
     (("hilbert", "--rank", "0"), "needs rank >= 1"),
     (("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
@@ -420,9 +452,8 @@ def _one_error_line(code, out, err, want_code, phrase):
     # completion needs degree 3; the message names the flag
     (("normal-form", "x1", "--completion-degree", "2"),
      "--completion-degree 2 is below 3"),
-    # ayb-formal honours the oracle cap like every other suite
-    (("verify", "ayb-formal", "--mode", "oracle", "--oracle-cap", "2"),
-     "exceeds the oracle cap 2"),
+    (("verify", "all", "--rank", "3", "--completion-degree", "8"),
+     "completion degree 8 is below the computed requirement 9"),
     # the precheck points are checked whether or not a precheck runs
     (("verify", "lemma", "--lambda", "2", "--mode", "oracle",
       "--precheck-points", "500"), "500 precheck points is outside 0..182"),
@@ -438,7 +469,7 @@ def test_bad_input_exits_2(capsys, argv, phrase):
 
 
 def test_oracle_mode_decides_all_of_rank_2(capsys):
-    # no default cap: the degree-10 ayb slices are decided by the oracle
+    # the oracle decides every slice, the degree-10 ayb ones included
     code, out, err = run(capsys, "verify", "all", "--rank", "2", "--mode",
                          "oracle", "--output", "structured")
     records = [json.loads(line) for line in out.splitlines()]

@@ -3,10 +3,13 @@ import pytest
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, QRat, q_power
-from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
+from qserre.freealg import (
+    NcPoly, SpectralWindow, chi_e_relations, qproduct, serre_relations,
+    x_alphabet,
+)
 from qserre.verify import (
     ChiEVerifier, Verifier, check_chi_e, descending_triples,
-    needed_completion_degree, qq_windows,
+    needed_completion_degree, qq_degree, qq_windows,
 )
 
 
@@ -127,22 +130,22 @@ def test_qq_window_validation(v2):
 
 
 def test_high_degree_failure_reports_fail_not_disagreement(v2):
-    # low slices in the ideal, the failing slice above the oracle cap: the
-    # partial oracle pass must not contradict the certified rewrite verdict
+    # a degree-3 slice in the ideal and a failing degree-10 one: the oracle
+    # decides every slice and must agree with the certified rewrite verdict
     a = v2.alphabet
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     rel = x1 * x1 * x2 + (x2 * x1 * x1).scale(q_power(1)) \
         - (x1 * x2 * x1).scale(ONE + Q)
     high = x2 * x1 ** 9 - x1 ** 9 * x2
     assert not v2.rules.reduce(high).is_zero  # really fails, and certified
-    capped = Verifier(2, completion_degree=10, oracle_cap=8, rules=v2.rules)
-    r = capped.decide("probe", (("case", "high-degree"),), rel + high)
+    r = v2.decide("probe", (("case", "high-degree"),), rel + high)
     assert not r.passed
-    assert any("skipped slices" in n for n in r.notes)
+    assert r.methods == ("rewrite", "oracle")
+    assert not any("skipped" in n for n in r.notes)
 
 
 def test_undecided_when_nothing_certifies():
-    v = Verifier(2, completion_degree=3, oracle_cap=8)
+    v = Verifier(2, completion_degree=3, mode="rewrite")
     a = v.alphabet
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     r = v.decide("probe", (("case", "undecided"),), x2 * x1 ** 9)
@@ -150,14 +153,8 @@ def test_undecided_when_nothing_certifies():
     assert any("undecided" in n for n in r.notes)
 
 
-def test_oracle_mode_cap_error():
-    v = Verifier(2, completion_degree=10, mode="oracle", oracle_cap=4)
-    with pytest.raises(ValueError):
-        v.check_qq(2, 1, 0)  # degree-6 difference exceeds the cap
-
-
 def test_oracle_only_mode_small():
-    v = Verifier(2, completion_degree=8, mode="oracle", oracle_cap=8)
+    v = Verifier(2, completion_degree=8, mode="oracle")
     assert v.check_lemma(0, 2, "x1_first").passed
     assert not v.check_central_c(element="k").passed
 
@@ -202,14 +199,19 @@ def test_report_formatting(v2):
 
 
 def test_needed_degree_estimates():
-    assert needed_completion_degree("qq", 2, 3) == 10
-    assert needed_completion_degree("qq", 3, 3) == 9
-    assert needed_completion_degree("lemma", 2, 3) == 6
-    assert needed_completion_degree("telescoping", 2, 4) == 0
-    assert needed_completion_degree("central", 2, 3) == 3
-    assert needed_completion_degree("chie", 3, 3) == 6
-    with pytest.raises(ValueError):
-        needed_completion_degree("nosuch", 2, 3)
+    assert needed_completion_degree("lemma", 3) == 6
+    assert needed_completion_degree("telescoping", 4) == 0
+    assert needed_completion_degree("central", 3) == 3
+    assert needed_completion_degree("chie", 3) == 6
+    for suite in ("qq", "nosuch"):
+        with pytest.raises(ValueError):
+            needed_completion_degree(suite, 3)
+    # qq's degree follows the run's window grid, not lambda_max alone
+    assert qq_degree(2, qq_windows(2, 3)) == 10
+    assert qq_degree(3, qq_windows(3, 3)) == 9
+    # the one window of --lambda 5 at rank 2, which qq_windows(2, 5) misses
+    assert qq_degree(2, [(5, 1, 0)]) == 12
+    assert qq_degree(2, qq_windows(2, 5)) == 10
 
 
 # --- mutation sensitivity: wrong constants must break some suite member ----
@@ -291,7 +293,8 @@ def precheck_calls(monkeypatch):
 
 
 def test_no_precheck_after_rewrite_proves_membership(v2, precheck_calls):
-    r = v2.decide("probe", (("case", "member"),), v2.relations[0])
+    r = v2.decide("probe", (("case", "member"),),
+                  serre_relations(v2.alphabet)[0])
     assert r.passed and r.methods == ("rewrite", "oracle")
     assert precheck_calls == []
 
@@ -305,7 +308,7 @@ def test_precheck_runs_for_non_member(v2, precheck_calls):
 
 def test_precheck_runs_in_oracle_mode(precheck_calls):
     v = Verifier(2, completion_degree=8, mode="oracle")
-    assert v.decide("probe", (), v.relations[0]).passed
+    assert v.decide("probe", (), serre_relations(v.alphabet)[0]).passed
     assert len(precheck_calls) == 1
 
 
@@ -316,29 +319,31 @@ def chie2():
 
 def test_chi_e_precheck_only_while_open(chie2, precheck_calls):
     e1 = NcPoly.generator(chie2.alphabet, "e1")
-    member = chie2._decide((("case", "member"),), chie2.relations[0])
+    cubic = chi_e_relations(chie2.alphabet)[0]
+    member = chie2._decide((("case", "member"),), cubic)
     assert member.passed and member.methods == ("rewrite", "oracle")
     assert precheck_calls == []
     non_member = chie2._decide((("case", "non-member"),), e1 * e1)
     assert not non_member.passed
     assert len(precheck_calls) == 1
     oracle_only = ChiEVerifier(2, mode="oracle")
-    assert oracle_only._decide((), chie2.relations[0]).passed
+    assert oracle_only._decide((), cubic).passed
     assert len(precheck_calls) == 2
 
 
 # -- the chi-e suite decides through Verifier.decide ----------------------------
 
-def test_chi_e_partial_oracle_cap_notes_skip_and_runs_oracle():
-    v = ChiEVerifier(2, oracle_cap=4)
-    e1 = NcPoly.generator(v.alphabet, "e1")
-    cubic, quad = v.relations[0], v.relations[2]
+def test_chi_e_mixed_degree_member_is_decided_by_both_methods(chie2):
+    e1 = NcPoly.generator(chie2.alphabet, "e1")
+    relations = chi_e_relations(chie2.alphabet)
+    cubic, quad = relations[0], relations[2]
     assert (cubic.degree, quad.degree) == (3, 2)
-    # a member with a degree-6 slice above the cap and a degree-2 one below
-    r = v._decide((("case", "mixed"),), cubic * e1 * e1 * e1 + quad)
+    # a member with a degree-6 slice and a degree-2 one: the oracle decides
+    # both, and the report carries only the presentation's note
+    r = chie2._decide((("case", "mixed"),), cubic * e1 * e1 * e1 + quad)
     assert r.passed
     assert r.methods == ("rewrite", "oracle")
-    assert "oracle skipped slices of degree > 4" in r.notes
+    assert r.notes == (verify_module._CHI_E_NOTE,)
 
 
 def test_chi_e_rejects_unknown_mode():
@@ -386,7 +391,7 @@ def test_qq_rank3_gcd_work_stays_under_its_ceiling(monkeypatch):
 def test_qq_rank3_builds_no_echelon_and_skips_no_slice():
     # the exact oracle decides every slice, degree 9 included, with the
     # quantum symmetrizer (the only oracle, so no block elimination) and
-    # leaves no cap note
+    # leaves no skip note
     r = Verifier(3).check_qq(2, 1, 0)
     assert r.passed and r.methods == ("rewrite", "oracle")
     assert not any("skipped slices" in n for n in r.notes)
