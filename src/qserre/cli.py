@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
-such as a bad rank, an empty grid or a rule file that fails its
-checks), 3 when rewriting and the oracle disagree, which is an
-engine bug.  Every command takes its rule set from _rule_set.  Output is
-deterministic for a fixed configuration and seed; structured mode emits
-one JSON record per check (the millis field is wall time and is the one
-field that varies between runs).
+such as a bad rank, an empty grid or an unwritable --dump-rules path),
+3 when rewriting and the oracle disagree, which is an engine bug.
+Rule sets come only from completing the defining relations: normal-form
+and hilbert complete theirs in _rule_set, and verify's Verifier completes
+its own on first use, so a run that never rewrites completes nothing.
+Output is deterministic for a fixed configuration and seed; structured
+mode emits one JSON record per check (the millis field is wall time and
+is the one field that varies between runs).
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ import re
 import sys
 
 from qserre.exprparse import ParseError, parse_expression
-from qserre.oracle import IdealOracle
-from qserre.rewrite import (
-    complete, critical_pair_residuals, dump_rules, load_rules,
-    normal_word_counts,
-)
+from qserre.rewrite import complete, dump_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
     ChiEVerifier, MethodDisagreement, VerificationReport, Verifier,
@@ -31,7 +29,7 @@ from qserre.verify import (
 
 SUITES = ("telescoping", "lemma", "central", "ayb", "far", "qq", "chie",
           "ratio", "ayb-formal")
-# these never rewrite with the x rules, so --rules/--dump-rules name nothing
+# these never rewrite with the x rules, so --dump-rules names nothing
 SUITES_WITHOUT_X_RULES = ("telescoping", "ratio", "chie")
 
 RATIO_WINDOWS = ((0, 1), (0, 2), (1, 3))
@@ -57,8 +55,6 @@ def shared_parser():
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", choices=("text", "structured"),
                         default="text")
-    shared.add_argument("--rules", metavar="FILE",
-                        help="load a dumped rule set instead of completing")
     shared.add_argument("--dump-rules", metavar="FILE",
                         help="write the rule set used to FILE")
     return shared
@@ -104,54 +100,31 @@ def main(argv=None) -> int:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
     except ValueError as err:
-        # bad ranks, windows, grids and rule files
+        # bad ranks, windows, grids and completion degrees; unwritable dumps
         print("error: %s" % err, file=sys.stderr)
         return 2
 
 
-def _rule_set(args, presentation, need):
-    """The rule set a command rewrites with, and the run's completion degree.
+def _completion_degree(args, need):
+    """--completion-degree, or max(8, need) without it.
 
-    The one reader of --rules, --dump-rules and the default completion
-    degree.  presentation is the Verifier class of the command's rules,
-    None when no requested check rewrites; its raw_rules at --rank are
-    the uncompleted rule set raw.  need is the largest degree the command
-    reduces.  A --rules file must match raw's alphabet, be certified to
-    need and pass the content checks; without one, raw is completed to
-    --completion-degree or to max(8, need).
+    need is the largest degree the command reduces; an explicit degree
+    below it, or below 3, is a configuration error.
     """
     degree = args.completion_degree
     if degree is None:
-        degree = max(8, need)
-    elif degree < 3:
+        return max(8, need)
+    if degree < 3:
         raise ValueError("--completion-degree %d is below 3, the least "
                          "degree completion accepts" % degree)
-    elif degree < need:
+    if degree < need:
         raise ValueError("completion degree %d is below the computed "
                          "requirement %d" % (degree, need))
-    if presentation is None:
-        if args.rules or args.dump_rules:
-            raise ValueError("--rules and --dump-rules name the x rule set, "
-                             "which no requested suite uses")
-        return None, degree
-    raw = presentation.raw_rules(args.rank)
-    if args.rules:
-        try:
-            with open(args.rules) as fh:
-                rules = load_rules(fh.read())
-        except (OSError, ValueError, KeyError) as err:
-            raise ValueError("cannot load rules from %s: %s"
-                             % (args.rules, err)) from None
-        if rules.alphabet != raw.alphabet:
-            raise ValueError("%s holds rules over %s, not %s" % (
-                args.rules, rules.alphabet, raw.alphabet))
-        if rules.completed_degree < need:
-            raise ValueError("%s is certified to degree %d, below the "
-                             "required %d" % (args.rules,
-                                              rules.completed_degree, need))
-        _check_loaded(rules, raw, presentation.braiding_for, args.rules)
-    else:
-        rules = complete(raw, degree)
+    return degree
+
+
+def _dump_rules(args, rules):
+    """Write rules to the --dump-rules file, if one is named."""
     if args.dump_rules:
         try:
             with open(args.dump_rules, "w") as fh:
@@ -159,30 +132,17 @@ def _rule_set(args, presentation, need):
         except OSError as err:
             raise ValueError("cannot write rules to %s: %s"
                              % (args.dump_rules, err)) from None
-    return rules, degree
 
 
-def _check_loaded(rules, raw, braiding, path):
-    """Reject a loaded rule set that could certify a false normal form.
+def _rule_set(args, presentation, need):
+    """The raw rules of presentation (a Verifier class) at --rank, completed.
 
-    Bergman's diamond lemma: the rules must generate the ideal of the
-    defining relations (each relation reduces to zero, each rule is a
-    member) and every overlap within the declared degree must resolve.
-    braiding is the presentation's (its verifier class's braiding_for);
-    membership is decided by its quantum symmetrizer.
+    need is the largest degree the command reduces.
     """
-    if not all(rules.reduce(r.as_poly()).is_zero for r in raw.rules):
-        raise ValueError("rules in %s do not reduce every defining "
-                         "relation to zero" % path)
-    oracle = IdealOracle(raw.alphabet, braiding)
-    if not all(oracle.member(r.as_poly()) for r in rules.rules):
-        raise ValueError("rules in %s include a rule the oracle finds "
-                         "outside the ideal" % path)
-    if any(not res.is_zero for _, res in
-           critical_pair_residuals(rules, rules.completed_degree)):
-        raise ValueError("rules in %s leave a critical pair unresolved up "
-                         "to their declared degree %d"
-                         % (path, rules.completed_degree))
+    rules = complete(presentation.raw_rules(args.rank),
+                     _completion_degree(args, need))
+    _dump_rules(args, rules)
+    return rules
 
 
 def cmd_normal_form(args) -> int:
@@ -194,7 +154,7 @@ def cmd_normal_form(args) -> int:
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    rules, _ = _rule_set(args, presentation, 0)
+    rules = _rule_set(args, presentation, 0)
     out = rules.reduce_flagged(poly)
     print(out.poly)
     if out.certified:
@@ -209,7 +169,7 @@ def cmd_normal_form(args) -> int:
 def cmd_hilbert(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree %d is negative" % args.max_degree)
-    rules, _ = _rule_set(args, Verifier, args.max_degree)
+    rules = _rule_set(args, Verifier, args.max_degree)
     counts = normal_word_counts(rules, args.max_degree)
     if args.output == "structured":
         for d, c in enumerate(counts):
@@ -315,11 +275,15 @@ def cmd_verify(args) -> int:
     needed = max(qq_degree(args.rank, qq_grid) if s == "qq"
                  else needed_completion_degree(s, lambda_max)
                  for s in suites)
-    rewrites = any(s not in SUITES_WITHOUT_X_RULES for s in suites)
-    rules, degree = _rule_set(args, Verifier if rewrites else None, needed)
+    degree = _completion_degree(args, needed)
+    if args.dump_rules and all(s in SUITES_WITHOUT_X_RULES for s in suites):
+        raise ValueError("--dump-rules names the x rule set, which no "
+                         "requested suite uses")
     verifier = Verifier(args.rank, completion_degree=degree, mode=args.mode,
-                        precheck_points=args.precheck_points,
-                        seed=args.seed, rules=rules)
+                        precheck_points=args.precheck_points, seed=args.seed)
+    # completes the rules now if they are dumped, else on the first rewrite
+    if args.dump_rules:
+        _dump_rules(args, verifier.rules)
 
     reports = []
     for s in suites:

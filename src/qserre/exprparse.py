@@ -194,8 +194,3 @@ def _as_scalar(p: NcPoly):
 def parse_expression(text: str, alphabet: Alphabet, rank=None) -> NcPoly:
     """Parse over the given alphabet; rank feeds the Q(...) forms."""
     return _Parser(text, alphabet, rank).parse()
-
-
-def parse_poly(text: str, alphabet: Alphabet) -> NcPoly:
-    """Parse canonical polynomial text (no Q-operator context needed)."""
-    return _Parser(text, alphabet).parse()

@@ -57,9 +57,6 @@ class Alphabet:
         except KeyError:
             raise KeyError("no letter %r in %r" % (name, self)) from None
 
-    def name(self, i: int) -> str:
-        return self.letters[i]
-
     def word_str(self, word) -> str:
         return " ".join(self.letters[i] for i in word)
 

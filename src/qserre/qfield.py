@@ -37,13 +37,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()

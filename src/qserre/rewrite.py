@@ -314,13 +314,6 @@ def _normal_levels(rules: RuleSet, degree: int):
         yield level
 
 
-def normal_words(rules: RuleSet, degree: int):
-    """All words of the given degree containing no rule lhs as a subword."""
-    for level in _normal_levels(rules, degree):
-        pass
-    return level
-
-
 def normal_word_counts(rules: RuleSet, d_max: int):
     """Count of normal words per degree 0..d_max (the Hilbert diagnostic)."""
     if d_max > rules.completed_degree:
@@ -339,32 +332,3 @@ def dump_rules(rules: RuleSet) -> str:
         lines.append("%s -> %s" % (rules.alphabet.word_str(r.lhs), r.rhs))
     return "\n".join(lines) + "\n"
 
-
-def load_rules(text: str, alphabet: Alphabet = None) -> RuleSet:
-    from qserre.exprparse import parse_poly
-    completed = 0
-    rules = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("completed_degree:"):
-                completed = int(body.split(":", 1)[1])
-            elif body.startswith("alphabet:") and alphabet is None:
-                fams = []
-                for f in body.split(":", 1)[1].split(","):
-                    name, cnt = f.strip().rsplit(":", 1)
-                    fams.append((name.strip(), int(cnt)))
-                alphabet = Alphabet(fams)
-            continue
-        if alphabet is None:
-            raise ValueError("no alphabet header and none supplied")
-        lhs_txt, rhs_txt = line.split("->", 1)
-        lhs = tuple(alphabet.index(tok) for tok in lhs_txt.split())
-        rhs = parse_poly(rhs_txt.strip(), alphabet)
-        rules.append(RewriteRule(lhs, rhs))
-    if alphabet is None:
-        raise ValueError("empty rule file")
-    return RuleSet(alphabet, rules, completed_degree=completed)

@@ -68,8 +68,7 @@ class Verifier:
     raw_rules = staticmethod(base_rules)
 
     def __init__(self, rank: int, completion_degree: int = 8,
-                 mode: str = "both", precheck_points: int = 2, seed: int = 0,
-                 rules=None):
+                 mode: str = "both", precheck_points: int = 2, seed: int = 0):
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
         if not 0 <= precheck_points <= DISTINCT_POINTS:
@@ -82,10 +81,7 @@ class Verifier:
         self.mode = mode
         self.precheck_points = precheck_points
         self.seed = seed
-        if rules is not None and rules.alphabet != self.alphabet:
-            raise ValueError("supplied rules are for %r, not %r"
-                             % (rules.alphabet, self.alphabet))
-        self._rules = rules
+        self._rules = None
         self._oracle = None
 
     @property

@@ -18,8 +18,8 @@ from math import factorial, gcd as _int_gcd
 
 from qserre.oracle import _content, split_homogeneous
 from qserre.qfield import (
-    _content as _int_content, _pdivmod_exact, _pgcd, _pmul, _pneg,
-    _primitive, _psub,
+    _content as _int_content, _padd, _pdivmod_exact, _pgcd, _pmul, _pneg,
+    _primitive,
 )
 
 
@@ -102,7 +102,7 @@ class _Echelon:
             for w, rc in row.items():
                 t = _pmul(a, rc)
                 v = vec.get(w)
-                v = _pneg(t) if v is None else _psub(v, t)
+                v = _pneg(t) if v is None else _padd(v, _pneg(t))
                 if v:
                     vec[w] = v
                 elif w in vec:

@@ -7,14 +7,12 @@ import sys
 import pytest
 
 from qserre.cli import main, shared_parser
-from qserre.exprparse import ParseError, parse_expression, parse_poly
+from qserre.exprparse import ParseError, parse_expression
 from qserre.freealg import (
-    NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct,
-    serre_braiding, x_alphabet,
+    NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct, x_alphabet,
 )
 from qserre.qfield import ONE, Q, QRat
-from qserre.rewrite import complete
-from qserre.verify import ChiEVerifier
+from qserre.rewrite import complete, dump_rules
 
 A2 = x_alphabet(2)
 
@@ -23,6 +21,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Every rule set completed by the CLI or a verifier, in order."""
+    import qserre.cli
+    import qserre.verify
+    done = []
+
+    def spy(rules, degree):
+        done.append(complete(rules, degree))
+        return done[-1]
+    for module in (qserre.cli, qserre.verify):
+        monkeypatch.setattr(module, "complete", spy)
+    return done
 
 
 # -- documentation -------------------------------------------------------------
@@ -95,7 +108,7 @@ def test_roundtrip_canonical_rendering():
                 continue
             terms[w] = QRat(num, den)
         p = NcPoly(A2, terms)
-        assert parse_poly(str(p), A2) == p
+        assert parse_expression(str(p), A2) == p
         assert "(-" not in str(p)
 
 
@@ -112,10 +125,10 @@ CANONICAL_TEXTS = (
 def test_roundtrip_spec_outputs():
     for text in CANONICAL_TEXTS + ("(1/(1-q))*x1 x2 - (1/(1-q))*x2 x1",
                                    "(q/(1-q^2))*x1 - (1/(1+q))*x2"):
-        p = parse_poly(text, A2)
-        assert parse_poly(str(p), A2) == p
+        p = parse_expression(text, A2)
+        assert parse_expression(str(p), A2) == p
     for text in CANONICAL_TEXTS:
-        assert str(parse_poly(text, A2)) == text
+        assert str(parse_expression(text, A2)) == text
 
 
 # -- normal-form command ------------------------------------------------------
@@ -307,62 +320,6 @@ def test_hilbert_degree_config_error(capsys):
     assert code == 2
 
 
-# -- rule dump / load ---------------------------------------------------------
-
-def test_dump_and_reload_rules(tmp_path, capsys):
-    path = tmp_path / "rules.txt"
-    code, out1, _ = run(capsys, "hilbert", "--rank", "3", "--max-degree", "6",
-                        "--dump-rules", str(path))
-    assert code == 0
-    text = path.read_text()
-    assert "->" in text
-    code, out2, _ = run(capsys, "hilbert", "--rules", str(path),
-                        "--max-degree", "6", "--rank", "3")
-    assert code == 0
-    assert out1 == out2
-
-
-def test_normal_form_with_loaded_rules(tmp_path, capsys):
-    path = tmp_path / "rules.txt"
-    run(capsys, "normal-form", "x1", "--rank", "2", "--dump-rules", str(path))
-    code, out, _ = run(capsys, "normal-form", "x2*x1*x1", "--rules", str(path))
-    assert code == 0
-    assert out.splitlines()[0] == "((1+q)/q)*x1 x2 x1 - (1/q)*x1 x1 x2"
-
-
-def test_verify_with_loaded_rules(tmp_path, capsys):
-    path = tmp_path / "rules.txt"
-    code, _, _ = run(capsys, "verify", "central", "--dump-rules", str(path))
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "central", "--rules", str(path))
-    assert code == 0 and "0 failed" in out
-    # loaded certification must cover what the suite needs
-    code, _, err = run(capsys, "verify", "qq", "--rules", str(path))
-    assert code == 2 and "certified to degree" in err
-
-
-def test_missing_rules_file_exits_2(tmp_path, capsys):
-    path = str(tmp_path / "absent.txt")
-    for argv in (("verify", "central"), ("normal-form", "x1"), ("hilbert",)):
-        code, out, err = run(capsys, *argv, "--rules", path)
-        assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "absent.txt" in err
-
-
-def test_malformed_rules_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("x2 x1 -> x1 x2\n")  # no alphabet header
-    for argv in (("verify", "central"), ("normal-form", "x1")):
-        code, out, err = run(capsys, *argv, "--rules", str(path))
-        assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "no alphabet header" in err
-    path.write_text("# alphabet: x:2\nx2 y1 -> x1 x2\n")  # unknown letter
-    code, _, err = run(capsys, "verify", "central", "--rules", str(path))
-    assert code == 2 and err.startswith("error: ")
-
-
 # -- golden output: verdicts pinned against an earlier run ---------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -383,7 +340,6 @@ def test_verify_all_rank2_matches_golden(capsys):
     assert got == want
 
 
-RANK2_RULES = GOLDEN / "rules_verify_central.txt"
 DUMP = "<dump>"  # stands for a fresh --dump-rules path; its bytes are compared
 
 
@@ -428,52 +384,62 @@ def _one_error_line(code, out, err, want_code, phrase):
 @pytest.mark.parametrize("argv, phrase", [
     # qq's need comes from the run's own grid: --lambda 5 at rank 2 is the
     # window (5, 1, 0), of degree 12
-    (("verify", "qq", "--rank", "2", "--lambda", "5",
-      "--completion-degree", "11"),
-     "completion degree 11 is below the computed requirement 12"),
-    (("verify", "far", "--rank", "2"), "suite 'far' needs rank >= 3"),
-    (("verify", "ayb", "--lambda", "1", "--mu", "2"),
-     "need lam >= mu >= nu, got (1, 2, 0)"),
-    (("verify", "all", "--rank", "0"), "no suite runs at rank 0"),
-    (("hilbert", "--rank", "0"), "needs rank >= 1"),
-    (("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
-     "need lam, mu >= nu"),
+    pytest.param(("verify", "qq", "--rank", "2", "--lambda", "5",
+                  "--completion-degree", "11"),
+                 "completion degree 11 is below the computed requirement 12",
+                 id="qq-window-above-completion-degree"),
+    pytest.param(("verify", "far", "--rank", "2"),
+                 "suite 'far' needs rank >= 3", id="far-at-rank-2"),
+    pytest.param(("verify", "ayb", "--lambda", "1", "--mu", "2"),
+                 "need lam >= mu >= nu, got (1, 2, 0)", id="ayb-unordered-window"),
+    pytest.param(("verify", "all", "--rank", "0"), "no suite runs at rank 0",
+                 id="verify-at-rank-0"),
+    pytest.param(("hilbert", "--rank", "0"), "needs rank >= 1",
+                 id="hilbert-at-rank-0"),
+    pytest.param(("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
+                 "need lam, mu >= nu", id="qq-nu-above-the-windows"),
     # a grid with no check is not a pass
-    (("verify", "lemma", "--lambda-max", "0"), "suite 'lemma' has no check"),
-    (("verify", "ayb", "--lambda-max", "-1"), "suite 'ayb' has no check"),
-    (("verify", "qq", "--lambda-max", "-1"), "suite 'qq' has no check"),
-    (("verify", "all", "--lambda-max", "0"), "suite 'lemma' has no check"),
-    (("hilbert", "--max-degree", "-1"), "--max-degree -1 is negative"),
-    # a rank-2 x rule file where the command works over another alphabet
-    (("hilbert", "--rank", "3", "--rules", str(RANK2_RULES)), "holds rules over"),
-    (("normal-form", "e1 chi1", "--rules", str(RANK2_RULES)), "holds rules over"),
-    (("verify", "central", "--rank", "3", "--rules", str(RANK2_RULES)),
-     "holds rules over"),
+    pytest.param(("verify", "lemma", "--lambda-max", "0"),
+                 "suite 'lemma' has no check", id="lemma-empty-grid"),
+    pytest.param(("verify", "ayb", "--lambda-max", "-1"),
+                 "suite 'ayb' has no check", id="ayb-empty-grid"),
+    pytest.param(("verify", "qq", "--lambda-max", "-1"),
+                 "suite 'qq' has no check", id="qq-empty-grid"),
+    pytest.param(("verify", "all", "--lambda-max", "0"),
+                 "suite 'lemma' has no check", id="all-empty-grid"),
+    pytest.param(("hilbert", "--max-degree", "-1"),
+                 "--max-degree -1 is negative", id="negative-max-degree"),
     # completion needs degree 3; the message names the flag
-    (("normal-form", "x1", "--completion-degree", "2"),
-     "--completion-degree 2 is below 3"),
-    (("verify", "all", "--rank", "3", "--completion-degree", "8"),
-     "completion degree 8 is below the computed requirement 9"),
+    pytest.param(("normal-form", "x1", "--completion-degree", "2"),
+                 "--completion-degree 2 is below 3", id="completion-degree-2"),
+    pytest.param(("verify", "all", "--rank", "3", "--completion-degree", "8"),
+                 "completion degree 8 is below the computed requirement 9",
+                 id="all-above-completion-degree"),
     # the precheck points are checked whether or not a precheck runs
-    (("verify", "lemma", "--lambda", "2", "--mode", "oracle",
-      "--precheck-points", "500"), "500 precheck points is outside 0..182"),
-    (("verify", "lemma", "--lambda", "1", "--mode", "oracle",
-      "--precheck-points", "500"), "500 precheck points is outside 0..182"),
-    (("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
-     "500 precheck points is outside 0..182"),
-    (("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
-     "-1 precheck points is outside 0..182"),
+    pytest.param(("verify", "lemma", "--lambda", "2", "--mode", "oracle",
+                  "--precheck-points", "500"),
+                 "500 precheck points is outside 0..182",
+                 id="500-points-oracle-mode"),
+    pytest.param(("verify", "lemma", "--lambda", "1", "--mode", "oracle",
+                  "--precheck-points", "500"),
+                 "500 precheck points is outside 0..182",
+                 id="500-points-oracle-mode-free-grid"),
+    pytest.param(("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
+                 "500 precheck points is outside 0..182", id="500-points"),
+    pytest.param(("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
+                 "-1 precheck points is outside 0..182", id="negative-points"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
 
 
-def test_oracle_mode_decides_all_of_rank_2(capsys):
-    # the oracle decides every slice, the degree-10 ayb ones included
+def test_oracle_mode_decides_all_of_rank_2(capsys, completions):
+    # the oracle decides every slice, the degree-10 ayb ones included, and
+    # no rule set is completed for a run that never rewrites
     code, out, err = run(capsys, "verify", "all", "--rank", "2", "--mode",
                          "oracle", "--output", "structured")
     records = [json.loads(line) for line in out.splitlines()]
-    assert code == 0 and err == ""
+    assert code == 0 and err == "" and completions == []
     assert len(records) == 103 and all(r["pass"] for r in records)
     assert {r["method"] for r in records} == {"oracle", "expand", "series"}
     assert any(r["method"] == "oracle" and r["suite"] == "ayb"
@@ -487,13 +453,10 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
                     3, "rewrite and oracle disagree")
 
 
-# -- rule files: one path, checked for alphabet, degree and content ---------------
-
-RULES = pathlib.Path(__file__).parent / "rules"
-
+# -- rule sets: completed once, and only when a check rewrites -------------------
 
 @pytest.mark.parametrize("suite", ["chie", "telescoping", "ratio"])
-@pytest.mark.parametrize("flag", ["--rules", "--dump-rules"])
+@pytest.mark.parametrize("flag", ["--dump-rules"])
 def test_rule_flags_without_a_rewriting_suite_exit_2(tmp_path, capsys, suite, flag):
     path = tmp_path / "rules.txt"
     _one_error_line(*run(capsys, "verify", suite, flag, str(path)),
@@ -507,47 +470,22 @@ def test_unwritable_dump_path_exits_2(tmp_path, capsys):
                     2, "cannot write rules to")
 
 
-# each file fails exactly one of the three checks and passes the other two
-@pytest.mark.parametrize("name, rank, phrase", [
-    # ROADMAP's false file: x2 x1 -> x1 x2 reduces both relations to zero
-    # and has no overlaps, so only the oracle sees it is wrong
-    ("not_in_ideal.txt", "2", "oracle finds outside the ideal"),
-    # the rank-2 rules without x2 x2 x1: the second relation stays nonzero
-    ("relation_not_reduced.txt", "2", "do not reduce every defining relation"),
-    # raw rank-3 rules declared complete to degree 9
-    ("pair_unresolved.txt", "3", "critical pair unresolved"),
-])
-@pytest.mark.parametrize("command", [
-    ("normal-form", "x2*x1 - x1*x2"),
-    ("verify", "central", "--mode", "rewrite"),
-    ("hilbert",),
-])
-def test_rule_file_failing_a_content_check_exits_2(capsys, command, name, rank,
-                                                   phrase):
-    _one_error_line(*run(capsys, *command, "--rank", rank,
-                         "--rules", str(RULES / name)), 2, phrase)
-
-
-def test_chi_e_rule_file_is_checked_with_its_own_braiding(capsys, monkeypatch):
-    path = str(GOLDEN / "rules_normal_form_chi_e.txt")
-    code, out, _ = run(capsys, "normal-form", "e1 chi1", "--rules", path)
-    assert code == 0 and out.splitlines()[0] == "chi1 e1"
-    # control: with the x-family braiding the chi reordering rule is no
-    # longer in the kernel, so the content check rejects the file
-    monkeypatch.setattr(ChiEVerifier, "braiding_for",
-                        staticmethod(serre_braiding))
-    _one_error_line(*run(capsys, "normal-form", "e1 chi1", "--rules", path),
-                    2, "oracle finds outside the ideal")
-
-
-def test_verify_chie_completes_at_the_run_degree(capsys, monkeypatch):
-    import qserre.verify
-    degrees = []
-
-    def spy(rules, degree):
-        degrees.append((rules.alphabet.families, degree))
-        return complete(rules, degree)
-    monkeypatch.setattr(qserre.verify, "complete", spy)
+def test_verify_chie_completes_at_the_run_degree(capsys, completions):
     code, _, _ = run(capsys, "verify", "chie", "--completion-degree", "7")
     assert code == 0
-    assert degrees == [((("chi", 2), ("e", 2)), 7)]
+    assert [(rules.alphabet.families, rules.completed_degree)
+            for rules in completions] == [((("chi", 2), ("e", 2)), 7)]
+
+
+def test_verify_completes_the_x_rules_once(capsys, completions):
+    code, _, _ = run(capsys, "verify", "central")
+    assert code == 0
+    assert [rules.alphabet for rules in completions] == [A2]
+
+
+def test_verify_dumps_the_rule_set_it_completed(tmp_path, capsys, completions):
+    path = tmp_path / "rules.txt"
+    code, _, _ = run(capsys, "verify", "central", "--dump-rules", str(path))
+    assert code == 0 and len(completions) == 1
+    assert path.read_text() == dump_rules(completions[0])
+
