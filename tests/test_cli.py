@@ -381,53 +381,44 @@ def _one_error_line(code, out, err, want_code, phrase):
     assert phrase in err
 
 
+def _case(n, argv, phrase):
+    # each case keeps the number it was given, so deleting one renames no other
+    return pytest.param(argv, phrase, id=f"argv{n}-{phrase}")
+
+
 @pytest.mark.parametrize("argv, phrase", [
     # qq's need comes from the run's own grid: --lambda 5 at rank 2 is the
     # window (5, 1, 0), of degree 12
-    pytest.param(("verify", "qq", "--rank", "2", "--lambda", "5",
-                  "--completion-degree", "11"),
-                 "completion degree 11 is below the computed requirement 12",
-                 id="qq-window-above-completion-degree"),
-    pytest.param(("verify", "far", "--rank", "2"),
-                 "suite 'far' needs rank >= 3", id="far-at-rank-2"),
-    pytest.param(("verify", "ayb", "--lambda", "1", "--mu", "2"),
-                 "need lam >= mu >= nu, got (1, 2, 0)", id="ayb-unordered-window"),
-    pytest.param(("verify", "all", "--rank", "0"), "no suite runs at rank 0",
-                 id="verify-at-rank-0"),
-    pytest.param(("hilbert", "--rank", "0"), "needs rank >= 1",
-                 id="hilbert-at-rank-0"),
-    pytest.param(("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
-                 "need lam, mu >= nu", id="qq-nu-above-the-windows"),
+    _case(0, ("verify", "qq", "--rank", "2", "--lambda", "5",
+              "--completion-degree", "11"),
+          "completion degree 11 is below the computed requirement 12"),
+    _case(1, ("verify", "far", "--rank", "2"), "suite 'far' needs rank >= 3"),
+    _case(2, ("verify", "ayb", "--lambda", "1", "--mu", "2"),
+          "need lam >= mu >= nu, got (1, 2, 0)"),
+    _case(3, ("verify", "all", "--rank", "0"), "no suite runs at rank 0"),
+    _case(4, ("hilbert", "--rank", "0"), "needs rank >= 1"),
+    _case(5, ("verify", "qq", "--lambda", "1", "--mu", "2", "--nu", "3"),
+          "need lam, mu >= nu"),
     # a grid with no check is not a pass
-    pytest.param(("verify", "lemma", "--lambda-max", "0"),
-                 "suite 'lemma' has no check", id="lemma-empty-grid"),
-    pytest.param(("verify", "ayb", "--lambda-max", "-1"),
-                 "suite 'ayb' has no check", id="ayb-empty-grid"),
-    pytest.param(("verify", "qq", "--lambda-max", "-1"),
-                 "suite 'qq' has no check", id="qq-empty-grid"),
-    pytest.param(("verify", "all", "--lambda-max", "0"),
-                 "suite 'lemma' has no check", id="all-empty-grid"),
-    pytest.param(("hilbert", "--max-degree", "-1"),
-                 "--max-degree -1 is negative", id="negative-max-degree"),
+    _case(6, ("verify", "lemma", "--lambda-max", "0"), "suite 'lemma' has no check"),
+    _case(7, ("verify", "ayb", "--lambda-max", "-1"), "suite 'ayb' has no check"),
+    _case(8, ("verify", "qq", "--lambda-max", "-1"), "suite 'qq' has no check"),
+    _case(9, ("verify", "all", "--lambda-max", "0"), "suite 'lemma' has no check"),
+    _case(10, ("hilbert", "--max-degree", "-1"), "--max-degree -1 is negative"),
     # completion needs degree 3; the message names the flag
-    pytest.param(("normal-form", "x1", "--completion-degree", "2"),
-                 "--completion-degree 2 is below 3", id="completion-degree-2"),
-    pytest.param(("verify", "all", "--rank", "3", "--completion-degree", "8"),
-                 "completion degree 8 is below the computed requirement 9",
-                 id="all-above-completion-degree"),
+    _case(14, ("normal-form", "x1", "--completion-degree", "2"),
+          "--completion-degree 2 is below 3"),
+    _case(15, ("verify", "all", "--rank", "3", "--completion-degree", "8"),
+          "completion degree 8 is below the computed requirement 9"),
     # the precheck points are checked whether or not a precheck runs
-    pytest.param(("verify", "lemma", "--lambda", "2", "--mode", "oracle",
-                  "--precheck-points", "500"),
-                 "500 precheck points is outside 0..182",
-                 id="500-points-oracle-mode"),
-    pytest.param(("verify", "lemma", "--lambda", "1", "--mode", "oracle",
-                  "--precheck-points", "500"),
-                 "500 precheck points is outside 0..182",
-                 id="500-points-oracle-mode-free-grid"),
-    pytest.param(("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
-                 "500 precheck points is outside 0..182", id="500-points"),
-    pytest.param(("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
-                 "-1 precheck points is outside 0..182", id="negative-points"),
+    _case(16, ("verify", "lemma", "--lambda", "2", "--mode", "oracle",
+               "--precheck-points", "500"), "500 precheck points is outside 0..182"),
+    _case(17, ("verify", "lemma", "--lambda", "1", "--mode", "oracle",
+               "--precheck-points", "500"), "500 precheck points is outside 0..182"),
+    _case(18, ("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
+          "500 precheck points is outside 0..182"),
+    _case(19, ("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
+          "-1 precheck points is outside 0..182"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
