@@ -4,12 +4,12 @@ Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
 such as a bad rank, an empty grid or an unwritable --dump-rules path),
 3 when rewriting and the oracle disagree, which is an engine bug.
-Rule sets come only from completing the defining relations: normal-form
-and hilbert complete theirs in _rule_set, and verify's Verifier completes
-its own on first use, so a run that never rewrites completes nothing.
-Output is deterministic for a fixed configuration and seed; structured
-mode emits one JSON record per check (the millis field is wall time and
-is the one field that varies between runs).
+Rule sets come only from completing the defining relations, and every
+command takes them from a Verifier's rules_for, which completes them to
+max(8, the largest degree reduced); a verify run that never rewrites
+completes nothing.  Output is deterministic for a fixed configuration;
+structured mode emits one JSON record per check (the millis field is
+wall time and is the one field that varies between runs).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import re
 import sys
 
 from qserre.exprparse import ParseError, parse_expression
-from qserre.rewrite import complete, dump_rules, normal_word_counts
+from qserre.rewrite import dump_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
     ChiEVerifier, MethodDisagreement, VerificationReport, Verifier,
-    descending_triples, needed_completion_degree, qq_degree, qq_windows,
+    descending_triples, qq_windows,
 )
 
 SUITES = ("telescoping", "lemma", "central", "ayb", "far", "qq", "chie",
@@ -41,20 +41,6 @@ def shared_parser():
     """The flags every command takes; README's "Shared flags" lists them."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--rank", type=int, default=2)
-    shared.add_argument("--completion-degree", type=int, default=None,
-                        help="confluence certification bound; default is "
-                             "the computed estimate, at least 8")
-    shared.add_argument("--mode", choices=("rewrite", "oracle", "both"),
-                        default="both")
-    shared.add_argument("--precheck-points", type=int, default=2,
-                        help="points s = 2^j, j drawn from 1..182, at "
-                             "which a randomized precheck applies the "
-                             "quantum symmetrizer, the only oracle, "
-                             "before its exact test; it can only reject "
-                             "(default 2)")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--output", choices=("text", "structured"),
-                        default="text")
     shared.add_argument("--dump-rules", metavar="FILE",
                         help="write the rule set used to FILE")
     return shared
@@ -75,6 +61,8 @@ def build_parser():
     vf = sub.add_parser("verify", parents=[shared],
                         help="run an identity suite over its parameter grid")
     vf.add_argument("suite", choices=SUITES + ("all",))
+    vf.add_argument("--mode", choices=("rewrite", "oracle", "both"),
+                    default="both")
     vf.add_argument("--lambda", dest="lam", type=int, default=None)
     vf.add_argument("--mu", type=int, default=None)
     vf.add_argument("--nu", type=int, default=None)
@@ -83,6 +71,10 @@ def build_parser():
     hb = sub.add_parser("hilbert", parents=[shared],
                         help="normal-word counts per degree")
     hb.add_argument("--max-degree", type=int, default=8)
+
+    for p in (vf, hb):
+        p.add_argument("--output", choices=("text", "structured"),
+                       default="text")
 
     return parser
 
@@ -100,27 +92,9 @@ def main(argv=None) -> int:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
     except ValueError as err:
-        # bad ranks, windows, grids and completion degrees; unwritable dumps
+        # bad ranks, windows and grids; unwritable dumps
         print("error: %s" % err, file=sys.stderr)
         return 2
-
-
-def _completion_degree(args, need):
-    """--completion-degree, or max(8, need) without it.
-
-    need is the largest degree the command reduces; an explicit degree
-    below it, or below 3, is a configuration error.
-    """
-    degree = args.completion_degree
-    if degree is None:
-        return max(8, need)
-    if degree < 3:
-        raise ValueError("--completion-degree %d is below 3, the least "
-                         "degree completion accepts" % degree)
-    if degree < need:
-        raise ValueError("completion degree %d is below the computed "
-                         "requirement %d" % (degree, need))
-    return degree
 
 
 def _dump_rules(args, rules):
@@ -134,42 +108,26 @@ def _dump_rules(args, rules):
                              % (args.dump_rules, err)) from None
 
 
-def _rule_set(args, presentation, need):
-    """The raw rules of presentation (a Verifier class) at --rank, completed.
-
-    need is the largest degree the command reduces.
-    """
-    rules = complete(presentation.raw_rules(args.rank),
-                     _completion_degree(args, need))
-    _dump_rules(args, rules)
-    return rules
-
-
 def cmd_normal_form(args) -> int:
     uses_chi_e = bool(re.search(r"\b(chi|e)\d+\b", args.expr))
-    presentation = ChiEVerifier if uses_chi_e else Verifier
-    raw = presentation.raw_rules(args.rank)
+    verifier = (ChiEVerifier if uses_chi_e else Verifier)(args.rank)
     try:
-        poly = parse_expression(args.expr, raw.alphabet, args.rank)
+        poly = parse_expression(args.expr, verifier.alphabet, args.rank)
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    rules = _rule_set(args, presentation, 0)
-    out = rules.reduce_flagged(poly)
-    print(out.poly)
-    if out.certified:
-        print("# certified: canonical up to degree %d" % rules.completed_degree)
-    else:
-        print("# warning: degree exceeds the certified bound %d; "
-              "remainder is valid but may not be canonical"
-              % rules.completed_degree)
+    rules = verifier.rules_for(poly.degree or 0)
+    _dump_rules(args, rules)
+    print(rules.reduce(poly))
+    print("# certified: canonical up to degree %d" % rules.completed_degree)
     return 0
 
 
 def cmd_hilbert(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree %d is negative" % args.max_degree)
-    rules = _rule_set(args, Verifier, args.max_degree)
+    rules = Verifier(args.rank).rules_for(args.max_degree)
+    _dump_rules(args, rules)
     counts = normal_word_counts(rules, args.max_degree)
     if args.output == "structured":
         for d, c in enumerate(counts):
@@ -244,9 +202,7 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
         for lam, mu, nu in qq_grid:
             yield v.check_qq(lam, mu, nu)
     elif suite == "chie":
-        yield from ChiEVerifier(
-            rank, completion_degree=v.completion_degree, mode=v.mode,
-            precheck_points=v.precheck_points, seed=v.seed).family_reports()
+        yield from ChiEVerifier(rank, v.mode).family_reports()
     elif suite == "ratio":
         for mu, lam in RATIO_WINDOWS:
             yield check_ratio_identity(mu, lam, RATIO_CUTOFF)
@@ -266,24 +222,14 @@ def cmd_verify(args) -> int:
             raise ValueError("suite %r needs rank >= %d"
                              % (args.suite, _min_rank(args.suite)))
     if args.lam is not None:
-        lambda_max = args.lam
         qq_grid = [(args.lam, args.mu if args.mu is not None else 1,
                     args.nu if args.nu is not None else 0)]
     else:
-        lambda_max = args.lambda_max
-        qq_grid = qq_windows(args.rank, lambda_max)
-    needed = max(qq_degree(args.rank, qq_grid) if s == "qq"
-                 else needed_completion_degree(s, lambda_max)
-                 for s in suites)
-    degree = _completion_degree(args, needed)
+        qq_grid = qq_windows(args.rank, args.lambda_max)
     if args.dump_rules and all(s in SUITES_WITHOUT_X_RULES for s in suites):
         raise ValueError("--dump-rules names the x rule set, which no "
                          "requested suite uses")
-    verifier = Verifier(args.rank, completion_degree=degree, mode=args.mode,
-                        precheck_points=args.precheck_points, seed=args.seed)
-    # completes the rules now if they are dumped, else on the first rewrite
-    if args.dump_rules:
-        _dump_rules(args, verifier.rules)
+    verifier = Verifier(args.rank, args.mode)
 
     reports = []
     for s in suites:
@@ -292,6 +238,9 @@ def cmd_verify(args) -> int:
             raise ValueError("suite %r has no check on the requested grid" % s)
         reports.extend(got)
     reports.sort(key=VerificationReport.sort_key)
+    # the x rules as far as the run completed them
+    if args.dump_rules:
+        _dump_rules(args, verifier.rules)
 
     failed = [r for r in reports if not r.passed]
     if args.output == "structured":

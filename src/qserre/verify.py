@@ -21,7 +21,7 @@ from qserre.freealg import (
     chi_e_braiding, k_element, lemma_product, qproduct, serre_braiding,
     x_alphabet,
 )
-from qserre.oracle import DISTINCT_POINTS, IdealOracle, randomized_precheck
+from qserre.oracle import IdealOracle, randomized_precheck
 from qserre.qfield import ONE, q_power
 from qserre.rewrite import RuleSet, base_rules, chi_e_rules, complete
 
@@ -59,36 +59,45 @@ class Verifier:
 
     Completion and the oracle are built lazily on first use and keep memo
     tables that later checks reuse, so one instance serves its checks one
-    after another.  A subclass for another presentation supplies its
-    alphabet, braiding and raw rules.
+    after another.  The rule set is completed to max(8, the largest
+    degree reduced so far), so every rewriting verdict is canonical.  A
+    subclass for another presentation supplies its alphabet, braiding
+    and raw rules.
     """
 
     alphabet_for = staticmethod(x_alphabet)
     braiding_for = staticmethod(serre_braiding)
     raw_rules = staticmethod(base_rules)
 
-    def __init__(self, rank: int, completion_degree: int = 8,
-                 mode: str = "both", precheck_points: int = 2, seed: int = 0):
+    def __init__(self, rank: int, mode: str = "both"):
         if mode not in ("rewrite", "oracle", "both"):
             raise ValueError("mode must be rewrite, oracle or both")
-        if not 0 <= precheck_points <= DISTINCT_POINTS:
-            raise ValueError("%d precheck points is outside 0..%d, the "
-                             "number of distinct points a precheck can draw"
-                             % (precheck_points, DISTINCT_POINTS))
         self.rank = rank
         self.alphabet = self.alphabet_for(rank)
-        self.completion_degree = completion_degree
         self.mode = mode
-        self.precheck_points = precheck_points
-        self.seed = seed
         self._rules = None
         self._oracle = None
+        self._degree = 0  # the largest degree decided so far
 
     @property
     def rules(self) -> RuleSet:
+        """The rules completed to max(8, the largest degree decided so far).
+
+        A verifier in oracle mode completes them only when asked here.
+        """
+        return self.rules_for(self._degree)
+
+    def rules_for(self, degree: int) -> RuleSet:
+        """The raw rules completed to at least max(8, degree).
+
+        A larger degree than the set has completes that set further.  The
+        truncated reduced basis of a homogeneous ideal is unique, so this
+        equals a fresh completion to the larger degree.
+        """
         if self._rules is None:
-            self._rules = complete(self.raw_rules(self.rank),
-                                   self.completion_degree)
+            self._rules = complete(self.raw_rules(self.rank), max(8, degree))
+        elif degree > self._rules.completed_degree:
+            self._rules = complete(self._rules, degree)
         return self._rules
 
     @property
@@ -103,57 +112,43 @@ class Verifier:
     def decide(self, identity: str, params, diff: NcPoly, notes=()) -> VerificationReport:
         """Is diff in the ideal?  Runs the configured methods and compares.
 
-        A zero reduction proves membership at any degree; a nonzero one
-        refutes it only within the certified degree.  The oracle, the
-        only one in the package, decides every slice with
-        self.oracle.slice_member, which applies the quantum symmetrizer
-        Phi and needs no elimination, so its verdict is always definite;
-        the echelon the tests compare it against lives in
-        tests/reference_echelon.py.  Contradictory definite verdicts mean
-        the engine is broken and raise.
+        Rewriting reduces with rules completed to the degree of diff, so
+        its verdict is canonical either way.  The oracle, the only one in
+        the package, decides every slice with self.oracle.slice_member,
+        which applies the quantum symmetrizer Phi and needs no
+        elimination, so its verdict is always definite; the echelon the
+        tests compare it against lives in tests/reference_echelon.py.
+        Contradictory verdicts mean the engine is broken and raise.
 
         The randomized precheck, which can only reject, runs before the
         oracle unless rewriting has already proved membership: it is the
-        same symmetrizer test at s = 2^j for a few drawn j.  The exact
+        same symmetrizer test at s = 2^j for two drawn j.  The exact
         oracle then runs on every slice either way, so a rewriting bug
         still surfaces as a disagreement.
         """
         t0 = time.perf_counter()
-        notes = list(notes)
         methods = []
-        in_ideal, not_in_ideal = False, False
-        residual = diff
+        in_ideal, residual = False, diff
+        degree = diff.degree or 0
+        self._degree = max(self._degree, degree)
 
         if self.mode in ("rewrite", "both"):
-            out = self.rules.reduce_flagged(diff)
-            residual = out.poly
+            residual = self.rules_for(degree).reduce(diff)
+            in_ideal = residual.is_zero
             methods.append("rewrite")
-            if out.poly.is_zero:
-                in_ideal = True
-            elif out.certified:
-                not_in_ideal = True
-            else:
-                notes.append("degree exceeds certified completion bound")
 
         if self.mode in ("oracle", "both"):
             # a zero reduction proved membership: the precheck could only
             # pass, and the exact oracle still cross-checks it
-            prechecked = in_ideal or randomized_precheck(
-                diff, self.oracle, self.precheck_points, self.seed)
-            ok = prechecked and self.oracle.member(diff)
+            ok = ((in_ideal or randomized_precheck(diff, self.oracle, 2))
+                  and self.oracle.member(diff))
             methods.append("oracle")
-            if ok:
-                in_ideal = True
-            else:
-                not_in_ideal = True
             if self.mode == "oracle":
+                in_ideal = ok
                 residual = NcPoly.zero(diff.alphabet) if ok else diff
-
-        if in_ideal and not_in_ideal:
-            raise MethodDisagreement(
-                "%s %s: rewrite and oracle disagree" % (identity, params))
-        if not in_ideal and not not_in_ideal:
-            notes.append("undecided: no method produced a definite verdict")
+            elif ok != in_ideal:
+                raise MethodDisagreement(
+                    "%s %s: rewrite and oracle disagree" % (identity, params))
 
         millis = (time.perf_counter() - t0) * 1000.0
         return VerificationReport(identity, tuple(params), in_ideal, residual,
@@ -262,10 +257,6 @@ class ChiEVerifier(Verifier):
     braiding_for = staticmethod(chi_e_braiding)
     raw_rules = staticmethod(chi_e_rules)
 
-    def __init__(self, rank: int, completion_degree: int = 6,
-                 mode: str = "both", precheck_points: int = 2, seed: int = 0):
-        super().__init__(rank, completion_degree, mode, precheck_points, seed)
-
     def _y(self, i):
         return (NcPoly.generator(self.alphabet, "chi%d" % i)
                 * NcPoly.generator(self.alphabet, "e%d" % i))
@@ -317,7 +308,7 @@ def _combined(identity, params, reports, alphabet, t0, notes=()):
 
 
 # ---------------------------------------------------------------------------
-# default grids and completion-degree estimates, shared with the CLI
+# default grids, shared with the CLI
 # ---------------------------------------------------------------------------
 
 QQ_WINDOWS = {
@@ -338,23 +329,3 @@ def descending_triples(top: int):
             for lam in range(top + 1)
             for mu in range(lam + 1)
             for nu in range(mu + 1)]
-
-
-def qq_degree(rank: int, windows) -> int:
-    """Largest degree of a Q-commutator over these (lam, mu, nu) windows."""
-    return max((rank * (lam + mu) for lam, mu, nu in windows), default=0)
-
-
-def needed_completion_degree(suite: str, lambda_max: int) -> int:
-    """Largest polynomial degree a suite other than qq feeds the reducer."""
-    if suite in ("telescoping", "ratio"):
-        return 0
-    if suite == "central":
-        return 3
-    if suite in ("lemma", "ayb", "far"):
-        return 2 * lambda_max
-    if suite == "chie":
-        return 6
-    if suite == "ayb-formal":
-        return 4
-    raise ValueError("unknown suite %r" % suite)

@@ -17,18 +17,18 @@ from qserre.verify import Verifier, check_chi_e, descending_triples, qq_windows
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle
 
-COMPLETION = {2: 10, 3: 9}  # >= rank*(lam+mu) for every window checked
+COMPLETION = {2: 10, 3: 9}  # the largest degree of a pinned qq window
 CHIE_COMPLETION = 6
 
 
 @pytest.fixture(scope="module")
 def v2():
-    return Verifier(2, completion_degree=COMPLETION[2])
+    return Verifier(2)
 
 
 @pytest.fixture(scope="module")
 def v3():
-    return Verifier(3, completion_degree=COMPLETION[3])
+    return Verifier(3)
 
 
 def _report(num, ok, text):
@@ -140,7 +140,8 @@ def test_criterion_6_rewriter_oracle_agreement(v2, v3):
 def test_criterion_7_confluence_certificate(v2, v3):
     ok = True
     pairs = 0
-    for rules, bound in ((v2.rules, COMPLETION[2]), (v3.rules, COMPLETION[3]),
+    for rules, bound in ((v2.rules_for(COMPLETION[2]), COMPLETION[2]),
+                         (v3.rules_for(COMPLETION[3]), COMPLETION[3]),
                          (complete(chi_e_rules(2), CHIE_COMPLETION), CHIE_COMPLETION),
                          (complete(chi_e_rules(3), CHIE_COMPLETION), CHIE_COMPLETION)):
         residuals = critical_pair_residuals(rules, bound)
@@ -151,8 +152,8 @@ def test_criterion_7_confluence_certificate(v2, v3):
 
 
 def test_criterion_8_chi_e_embedding():
-    r2 = check_chi_e(2, completion_degree=CHIE_COMPLETION)
-    r3 = check_chi_e(3, completion_degree=CHIE_COMPLETION)
+    r2 = check_chi_e(2)
+    r3 = check_chi_e(3)
     ok = r2.passed and r3.passed
     _report(8, ok, "y_n = chi_n e_n satisfies all three x-relation families "
             "at ranks 2 and 3 over the q^(1/2) field")

@@ -25,16 +25,14 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Every rule set completed by the CLI or a verifier, in order."""
-    import qserre.cli
+    """Every rule set a verifier completed, in order."""
     import qserre.verify
     done = []
 
     def spy(rules, degree):
         done.append(complete(rules, degree))
         return done[-1]
-    for module in (qserre.cli, qserre.verify):
-        monkeypatch.setattr(module, "complete", spy)
+    monkeypatch.setattr(qserre.verify, "complete", spy)
     return done
 
 
@@ -162,16 +160,16 @@ def test_cmd_normal_form_chi_e(capsys):
     assert code == 0 and out.splitlines()[0] == "chi1 e1"
 
 
+def test_cmd_normal_form_completes_to_the_input_degree(capsys):
+    code, out, _ = run(capsys, "normal-form", "x2*x1^9")
+    assert code == 0
+    assert out.splitlines()[1] == "# certified: canonical up to degree 10"
+
+
 def test_cmd_normal_form_parse_error(capsys):
     code, out, err = run(capsys, "normal-form", "x1 +")
     assert code == 2
     assert "parse error" in err
-
-
-def test_cmd_normal_form_degree_warning(capsys):
-    code, out, _ = run(capsys, "normal-form", "x1^9", "--completion-degree", "4")
-    assert code == 0
-    assert "warning" in out.splitlines()[1]
 
 
 # -- verify command -----------------------------------------------------------
@@ -190,10 +188,15 @@ def test_verify_invalid_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_insufficient_completion_degree(capsys):
-    code, _, err = run(capsys, "verify", "qq", "--completion-degree", "8")
-    assert code == 2
-    assert "completion degree" in err
+@pytest.mark.parametrize("argv", [
+    ("normal-form", "x2*x1", "--mode", "oracle"),
+    ("normal-form", "x2*x1", "--output", "structured"),
+    ("hilbert", "--mode", "rewrite"),
+])
+def test_flags_a_command_would_ignore_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_verify_far_needs_rank3(capsys):
@@ -215,7 +218,7 @@ def test_verify_structured_records(capsys):
 def test_verify_deterministic_modulo_millis(capsys):
     def normalized():
         code, out, _ = run(capsys, "verify", "ayb", "--output", "structured",
-                           "--seed", "5", "--lambda-max", "2")
+                           "--lambda-max", "2")
         assert code == 0
         return re.sub(r'"millis": [0-9.]+', '"millis": 0', out)
     assert normalized() == normalized()
@@ -233,14 +236,6 @@ def test_verify_qq_respects_lambda_max(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("qq")]
     assert len(lines) == 1 and "lam=2" in lines[0]
-
-
-def test_verify_qq_single_window_needs_degree(capsys):
-    # an explicit window too big for an explicit completion bound is a
-    # configuration error, not a silent uncertified run
-    code, _, err = run(capsys, "verify", "qq", "--lambda", "4", "--mu", "3",
-                       "--completion-degree", "10")
-    assert code == 2 and "completion degree" in err
 
 
 def test_verify_ayb_formal_suite(capsys):
@@ -314,12 +309,6 @@ def test_hilbert_rank3_structured(capsys):
     assert [r["normal_words"] for r in recs] == [1, 3, 8, 17]
 
 
-def test_hilbert_degree_config_error(capsys):
-    code, _, err = run(capsys, "hilbert", "--completion-degree", "4",
-                       "--max-degree", "8")
-    assert code == 2
-
-
 # -- golden output: verdicts pinned against an earlier run ---------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -387,11 +376,6 @@ def _case(n, argv, phrase):
 
 
 @pytest.mark.parametrize("argv, phrase", [
-    # qq's need comes from the run's own grid: --lambda 5 at rank 2 is the
-    # window (5, 1, 0), of degree 12
-    _case(0, ("verify", "qq", "--rank", "2", "--lambda", "5",
-              "--completion-degree", "11"),
-          "completion degree 11 is below the computed requirement 12"),
     _case(1, ("verify", "far", "--rank", "2"), "suite 'far' needs rank >= 3"),
     _case(2, ("verify", "ayb", "--lambda", "1", "--mu", "2"),
           "need lam >= mu >= nu, got (1, 2, 0)"),
@@ -405,20 +389,6 @@ def _case(n, argv, phrase):
     _case(8, ("verify", "qq", "--lambda-max", "-1"), "suite 'qq' has no check"),
     _case(9, ("verify", "all", "--lambda-max", "0"), "suite 'lemma' has no check"),
     _case(10, ("hilbert", "--max-degree", "-1"), "--max-degree -1 is negative"),
-    # completion needs degree 3; the message names the flag
-    _case(14, ("normal-form", "x1", "--completion-degree", "2"),
-          "--completion-degree 2 is below 3"),
-    _case(15, ("verify", "all", "--rank", "3", "--completion-degree", "8"),
-          "completion degree 8 is below the computed requirement 9"),
-    # the precheck points are checked whether or not a precheck runs
-    _case(16, ("verify", "lemma", "--lambda", "2", "--mode", "oracle",
-               "--precheck-points", "500"), "500 precheck points is outside 0..182"),
-    _case(17, ("verify", "lemma", "--lambda", "1", "--mode", "oracle",
-               "--precheck-points", "500"), "500 precheck points is outside 0..182"),
-    _case(18, ("verify", "lemma", "--lambda", "2", "--precheck-points", "500"),
-          "500 precheck points is outside 0..182"),
-    _case(19, ("verify", "lemma", "--lambda", "2", "--precheck-points", "-1"),
-          "-1 precheck points is outside 0..182"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
@@ -459,13 +429,6 @@ def test_unwritable_dump_path_exits_2(tmp_path, capsys):
     path = str(tmp_path / "no-such-dir" / "rules.txt")
     _one_error_line(*run(capsys, "hilbert", "--dump-rules", path),
                     2, "cannot write rules to")
-
-
-def test_verify_chie_completes_at_the_run_degree(capsys, completions):
-    code, _, _ = run(capsys, "verify", "chie", "--completion-degree", "7")
-    assert code == 0
-    assert [(rules.alphabet.families, rules.completed_degree)
-            for rules in completions] == [((("chi", 2), ("e", 2)), 7)]
 
 
 def test_verify_completes_the_x_rules_once(capsys, completions):

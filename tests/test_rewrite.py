@@ -8,8 +8,8 @@ from qserre.freealg import (
     NcPoly, deg_lex_key, serre_braiding, serre_relations, x_alphabet,
 )
 from qserre.rewrite import (
-    ReduceOutcome, RewriteRule, RuleSet, base_rules, chi_e_rules,
-    complete, critical_pair_residuals, normal_word_counts, orient,
+    RewriteRule, RuleSet, base_rules, chi_e_rules,
+    complete, critical_pair_residuals, dump_rules, normal_word_counts, orient,
 )
 
 A2 = x_alphabet(2)
@@ -63,18 +63,18 @@ def test_reduce_fixpoint_on_normal_words():
         assert rs.reduce(p) == p
 
 
-def test_reduce_flagged_certification():
-    rs = complete(base_rules(2), 4)
-    small = NcPoly.monomial(A2, (1, 0, 0))
-    big = NcPoly.monomial(A2, (1, 0, 0, 1, 0))
-    assert rs.reduce_flagged(small) == ReduceOutcome(rs.reduce(small), True)
-    assert rs.reduce_flagged(big).certified is False
-
-
 def test_completion_rank2_adds_nothing():
     rs = complete(base_rules(2), 8)
     assert len(rs) == 2
     assert rs.completed_degree == 8
+
+
+@pytest.mark.parametrize("raw, low, high", [
+    (base_rules(3), 8, 10), (chi_e_rules(2), 6, 8)])
+def test_resumed_completion_equals_a_fresh_one(raw, low, high):
+    # the truncated reduced basis of a homogeneous ideal is unique
+    resumed = complete(complete(raw, low), high)
+    assert dump_rules(resumed) == dump_rules(complete(raw, high))
 
 
 def test_completion_rank1_empty():

@@ -154,7 +154,7 @@ def test_formal_sides_lambda_equals_mu():
 
 @pytest.fixture(scope="module")
 def v2():
-    return Verifier(2, completion_degree=5)
+    return Verifier(2)
 
 
 def test_ayb_formal_order_one(v2):
@@ -172,7 +172,7 @@ def test_ayb_formal_default(v2):
 
 
 def test_ayb_formal_higher_pair():
-    r = check_ayb_formal(Verifier(3, completion_degree=3), 2, 3)
+    r = check_ayb_formal(Verifier(3), 2, 3)
     assert r.passed
 
 

@@ -7,20 +7,20 @@ from qserre.freealg import (
     NcPoly, SpectralWindow, chi_e_relations, qproduct, serre_relations,
     x_alphabet,
 )
+from qserre.rewrite import base_rules, complete, dump_rules
 from qserre.verify import (
-    ChiEVerifier, Verifier, check_chi_e, descending_triples,
-    needed_completion_degree, qq_degree, qq_windows,
+    ChiEVerifier, Verifier, check_chi_e, descending_triples, qq_windows,
 )
 
 
 @pytest.fixture(scope="module")
 def v2():
-    return Verifier(2, completion_degree=10)
+    return Verifier(2)
 
 
 @pytest.fixture(scope="module")
 def v3():
-    return Verifier(3, completion_degree=9)
+    return Verifier(3)
 
 
 def test_telescoping(v2):
@@ -137,32 +137,65 @@ def test_high_degree_failure_reports_fail_not_disagreement(v2):
     rel = x1 * x1 * x2 + (x2 * x1 * x1).scale(q_power(1)) \
         - (x1 * x2 * x1).scale(ONE + Q)
     high = x2 * x1 ** 9 - x1 ** 9 * x2
-    assert not v2.rules.reduce(high).is_zero  # really fails, and certified
+    assert not v2.rules_for(10).reduce(high).is_zero  # really fails, and certified
     r = v2.decide("probe", (("case", "high-degree"),), rel + high)
     assert not r.passed
     assert r.methods == ("rewrite", "oracle")
     assert not any("skipped" in n for n in r.notes)
 
 
-def test_undecided_when_nothing_certifies():
-    v = Verifier(2, completion_degree=3, mode="rewrite")
-    a = v.alphabet
-    x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
-    r = v.decide("probe", (("case", "undecided"),), x2 * x1 ** 9)
-    assert not r.passed
-    assert any("undecided" in n for n in r.notes)
-
-
 def test_oracle_only_mode_small():
-    v = Verifier(2, completion_degree=8, mode="oracle")
+    v = Verifier(2, mode="oracle")
     assert v.check_lemma(0, 2, "x1_first").passed
     assert not v.check_central_c(element="k").passed
 
 
 def test_rewrite_only_mode():
-    v = Verifier(2, completion_degree=8, mode="rewrite")
+    v = Verifier(2, mode="rewrite")
     r = v.check_lemma(0, 2, "x1_first")
     assert r.passed and r.methods == ("rewrite",)
+
+
+# -- the completion degree follows the degree decided ---------------------------
+
+def test_rewrite_refutes_beyond_degree_8():
+    # the rules are completed to the input's degree 10, so rewriting alone
+    # gives a definite verdict, with no note
+    v = Verifier(2, mode="rewrite")
+    x1, x2 = (NcPoly.generator(v.alphabet, g) for g in ("x1", "x2"))
+    r = v.decide("probe", (), x2 * x1 ** 9)
+    assert not r.passed and r.notes == () and not r.residual.is_zero
+    assert v.rules.completed_degree == 10
+
+
+def test_padded_degree_10_relation_is_a_member():
+    v = Verifier(2)
+    x1, x2 = (NcPoly.generator(v.alphabet, g) for g in ("x1", "x2"))
+    padded = x2 ** 3 * serre_relations(v.alphabet)[0] * x1 ** 4
+    assert padded.degree == 10
+    r = v.decide("probe", (), padded)
+    assert r.passed and r.notes == () and r.methods == ("rewrite", "oracle")
+    assert v.rules.completed_degree == 10
+
+
+def test_completion_resumes_only_for_a_larger_degree(monkeypatch):
+    done = []
+
+    def spy(rules, degree):
+        done.append(complete(rules, degree))
+        return done[-1]
+    monkeypatch.setattr(verify_module, "complete", spy)
+    v = Verifier(3)
+    x1, x2, x3 = (NcPoly.generator(v.alphabet, "x%d" % i) for i in (1, 2, 3))
+    rel = serre_relations(v.alphabet)[0]
+    for pad in (NcPoly.unit(v.alphabet), x3 * x1, x2 ** 5):
+        assert v.decide("probe", (), rel * pad).passed
+    assert [rules.completed_degree for rules in done] == [8]
+    assert not v.decide("probe", (), x3 * x2 ** 8).passed
+    assert [rules.completed_degree for rules in done] == [8, 9]
+    assert v.rules is done[1]
+    # the resumed set is the one a fresh completion to 9 gives
+    assert dump_rules(done[1]) == dump_rules(complete(base_rules(3), 9))
 
 
 def test_chi_e_embedding():
@@ -196,22 +229,6 @@ def test_report_formatting(v2):
     assert "pass" in str(r)
     assert r.residual_terms == 0
     assert r.millis >= 0
-
-
-def test_needed_degree_estimates():
-    assert needed_completion_degree("lemma", 3) == 6
-    assert needed_completion_degree("telescoping", 4) == 0
-    assert needed_completion_degree("central", 3) == 3
-    assert needed_completion_degree("chie", 3) == 6
-    for suite in ("qq", "nosuch"):
-        with pytest.raises(ValueError):
-            needed_completion_degree(suite, 3)
-    # qq's degree follows the run's window grid, not lambda_max alone
-    assert qq_degree(2, qq_windows(2, 3)) == 10
-    assert qq_degree(3, qq_windows(3, 3)) == 9
-    # the one window of --lambda 5 at rank 2, which qq_windows(2, 5) misses
-    assert qq_degree(2, [(5, 1, 0)]) == 12
-    assert qq_degree(2, qq_windows(2, 5)) == 10
 
 
 # --- mutation sensitivity: wrong constants must break some suite member ----
@@ -307,7 +324,7 @@ def test_precheck_runs_for_non_member(v2, precheck_calls):
 
 
 def test_precheck_runs_in_oracle_mode(precheck_calls):
-    v = Verifier(2, completion_degree=8, mode="oracle")
+    v = Verifier(2, mode="oracle")
     assert v.decide("probe", (), serre_relations(v.alphabet)[0]).passed
     assert len(precheck_calls) == 1
 
@@ -349,16 +366,6 @@ def test_chi_e_mixed_degree_member_is_decided_by_both_methods(chie2):
 def test_chi_e_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ChiEVerifier(2, mode="bogus")
-
-
-@pytest.mark.parametrize("points, ok", [(0, True), (182, True), (183, False)])
-def test_precheck_points_lie_in_the_drawable_range(points, ok):
-    # 182 = oracle.DISTINCT_POINTS, the most random_points can draw
-    if ok:
-        assert Verifier(2, precheck_points=points).precheck_points == points
-    else:
-        with pytest.raises(ValueError, match="outside 0..182"):
-            Verifier(2, precheck_points=points)
 
 
 # -- work-count guard: gcd work in Q(s) ---------------------------------------
