@@ -8,6 +8,23 @@ confluent rewriting system for all inputs within the certified degree.
 
 Reduction is leftmost-first and memoized per word, which turns the
 repeated reductions of large ordered products into a cheap DP.
+
+Rewriting is integer arithmetic over Z[s, 1/s].  Every completed rule
+coefficient is a Laurent polynomial in s, so each word's normal form is
+one too: the memo stores a coefficient as (shift, ints), the value
+s^shift * sum(ints[i] s^i) with both end entries nonzero.  A product is
+a convolution and a sum an aligned add, with no gcd and no
+normalization.  Rules are indexed by the first letter of their lhs, so
+a match is tried only with the rules that can start at each position.
+A rule with a coefficient whose denominator is not a power of s is
+refused with a ValueError that names the rule; no completion of the x
+or chi-e rules at ranks 2 to 5 has made one.
+
+An input may have any Q(s) coefficients.  normal_form groups its terms
+by their denominator d, up to a power of s, reduces each group over
+Z[s, 1/s] and divides by d once, since NF(sum n_w w / d) equals
+NF(sum n_w w) / d.  One lcm of all the denominators would instead make
+every output coefficient share it, and each would take a gcd against it.
 """
 
 from __future__ import annotations
@@ -18,7 +35,7 @@ from qserre.freealg import (
     Alphabet, NcPoly, chi_e_alphabet, chi_e_relations, deg_lex_key,
     serre_relations, x_alphabet,
 )
-from qserre.qfield import ONE
+from qserre.qfield import QRat, _pmul
 
 
 class RewriteRule:
@@ -62,23 +79,103 @@ def orient(relation: NcPoly) -> RewriteRule:
     return RewriteRule(lead, rhs)
 
 
+def _laurent_over(c):
+    """c as (d, L), c = L / d with L in Z[s, 1/s] and d(0) != 0.
+
+    L is a Laurent coefficient (shift, ints), the value
+    s^shift * sum(ints[i] s^i), with both end entries nonzero.
+    """
+    num, den = c.num, c.den
+    k = lo = 0
+    while not den[k]:
+        k += 1
+    while not num[lo]:
+        lo += 1
+    return den[k:], (lo - k, num[lo:])
+
+
+def _rule_laurent(rule):
+    """The rule's rhs as (word, Laurent coefficient) pairs, or ValueError."""
+    out = []
+    for w, c in rule.rhs.terms.items():
+        d, coeff = _laurent_over(c)
+        if d != (1,):
+            raise ValueError(
+                "rule %s has a coefficient that is not a Laurent polynomial "
+                "in s: %s" % (rule.rhs.alphabet.word_str(rule.lhs), c))
+        out.append((w, coeff))
+    return tuple(out)
+
+
+def _add_into(out, w, c):
+    """out[w] += c over Z[s, 1/s], aligned and trimmed; a zero sum is dropped."""
+    c0 = out.get(w)
+    if c0 is None:
+        out[w] = c
+        return
+    (sa, pa), (sb, pb) = c0, c
+    if sa > sb:
+        sa, pa, sb, pb = sb, pb, sa, pa
+    off = sb - sa
+    acc = list(pa)
+    n = off + len(pb)
+    if n > len(acc):
+        acc.extend([0] * (n - len(acc)))
+    else:
+        n = len(acc)
+    for i, x in enumerate(pb, off):
+        acc[i] += x
+    lo = 0
+    while lo < n and not acc[lo]:
+        lo += 1
+    if lo == n:
+        del out[w]
+        return
+    while not acc[n - 1]:
+        n -= 1
+    out[w] = (sa + lo, tuple(acc[lo:n]))
+
+
+_L_ONE = (0, (1,))
+
+
+def _as_qrat(c, den):
+    """The Laurent coefficient c divided by the integer polynomial den."""
+    shift, t = c
+    if shift >= 0:
+        num, low = (0,) * shift + t, (1,)
+    else:
+        num, low = t, (0,) * -shift + (1,)
+    if den == (1,):
+        # already reduced: t has a nonzero constant term, so it is prime to s
+        return QRat._raw(num, low)
+    return QRat(num, _pmul(low, den))
+
+
 class _Reducer:
-    """Leftmost rewriting to fixpoint over a frozen rule list, memoized."""
+    """Leftmost rewriting to fixpoint over a frozen rule list, memoized.
+
+    The memo maps a word to its normal form as {word: (shift, ints)},
+    Laurent coefficients in s; rules are indexed by their first letter.
+    """
 
     def __init__(self, rules):
         self.rules = tuple(rules)
-        self.memo = {(): {(): ONE}}
-        self._min_len = min((len(r.lhs) for r in self.rules), default=0)
+        self.memo = {(): {(): _L_ONE}}
+        self._max_len = max((len(r.lhs) for r in self.rules), default=0)
+        by_first = {}
+        for r in self.rules:
+            by_first.setdefault(r.lhs[0], []).append(
+                (r.lhs, len(r.lhs), _rule_laurent(r)))
+        self._by_first = by_first
 
-    def _find(self, word):
-        rules = self.rules
-        if not rules or len(word) < self._min_len:
-            return None
-        for i in range(len(word)):
-            for r in rules:
-                lhs = r.lhs
-                if word[i:i + len(lhs)] == lhs:
-                    return i, r
+    def _find(self, word, start):
+        """The leftmost rule match at or after start, as (i, len(lhs), rhs)."""
+        by_first = self._by_first
+        for i in range(start, len(word)):
+            for lhs, n, rhs in by_first.get(word[i], ()):
+                if word[i:i + n] == lhs:
+                    return i, n, rhs
         return None
 
     def word_normal_form(self, word):
@@ -86,49 +183,59 @@ class _Reducer:
         got = memo.get(word)
         if got is not None:
             return got
-        stack = [word]
+        # (word, where a match can start, its match once found)
+        stack = [(word, 0, None)]
         while stack:
-            w = stack[-1]
+            w, start, hit = stack.pop()
             if w in memo:
-                stack.pop()
                 continue
-            hit = self._find(w)
             if hit is None:
-                memo[w] = {w: ONE}
-                stack.pop()
-                continue
-            i, rule = hit
-            u, v = w[:i], w[i + len(rule.lhs):]
-            todo = [u + rw + v for rw in rule.rhs.terms]
-            missing = [t for t in todo if t not in memo]
+                hit = self._find(w, start)
+                if hit is None:
+                    memo[w] = {w: _L_ONE}
+                    continue
+            i, n, rhs = hit
+            u, v = w[:i], w[i + n:]
+            missing = [t for t in (u + rw + v for rw, _ in rhs) if t not in memo]
             if missing:
-                stack.extend(missing)
+                stack.append((w, start, hit))
+                # no match starts left of i in w, so none starts left of
+                # i - max_len + 1 in a rewrite of it
+                start = max(0, i - self._max_len + 1)
+                stack.extend((t, start, None) for t in missing)
+                continue
+            if len(rhs) == 1 and rhs[0][1] == _L_ONE:
+                # a plain swap shares its image's normal form
+                memo[w] = memo[u + rhs[0][0] + v]
                 continue
             out = {}
-            for rw, rc in rule.rhs.terms.items():
-                for w2, c2 in memo[u + rw + v].items():
-                    c = rc * c2
-                    c0 = out.get(w2)
-                    c = c if c0 is None else c0 + c
-                    if c:
-                        out[w2] = c
-                    elif w2 in out:
-                        del out[w2]
+            for rw, (rs, rp) in rhs:
+                for w2, (s2, p2) in memo[u + rw + v].items():
+                    _add_into(out, w2, (rs + s2, _pmul(rp, p2)))
             memo[w] = out
-            stack.pop()
         return memo[word]
 
     def normal_form(self, p: NcPoly) -> NcPoly:
-        out = {}
+        """NF(p), one Laurent sum per denominator of p's coefficients.
+
+        NF(sum n_w w / d) = NF(sum n_w w) / d, so each group of terms
+        sharing the denominator d (up to a power of s) is reduced over
+        Z[s, 1/s] and divided by d once.
+        """
+        groups = {}
         for w, c in p.terms.items():
-            for w2, c2 in self.word_normal_form(w).items():
-                v = c * c2
-                v0 = out.get(w2)
-                v = v if v0 is None else v0 + v
-                if v:
-                    out[w2] = v
-                elif w2 in out:
-                    del out[w2]
+            d, coeff = _laurent_over(c)
+            groups.setdefault(d, []).append((w, coeff))
+        out = {}
+        for den, terms in groups.items():
+            acc = {}
+            for w, (cs, cp) in terms:
+                for w2, (s2, p2) in self.word_normal_form(w).items():
+                    _add_into(acc, w2, (cs + s2, _pmul(cp, p2)))
+            for w2, c in acc.items():
+                c = _as_qrat(c, den)
+                c0 = out.get(w2)
+                out[w2] = c if c0 is None else c0 + c
         return NcPoly(p.alphabet, out)
 
 
@@ -221,11 +328,20 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
     Homogeneity makes this terminate on its own; max_steps only guards
     against implementation bugs.  Returns a new RuleSet whose reductions
     are canonical for inputs of degree <= max_degree.
+
+    Resuming is cheap: a pair of two given rules is skipped when its
+    degree is at most rules.completed_degree, which only complete sets.
+    Such a pair already resolved against the given rules.  Every new
+    rule then comes from a pair of larger degree, so its lhs is longer
+    than completed_degree: it displaces no given rule and applies to no
+    word of length <= completed_degree, and the skipped pairs still
+    resolve.
     """
     if max_degree < 3 and rules.rules:
         raise ValueError("max_degree must be at least 3")
     alphabet = rules.alphabet
     work = list(rules.rules)
+    given, resolved = len(work), rules.completed_degree
     seq = 0
     heap = []
 
@@ -233,6 +349,8 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         """Push every critical pair of rule i with itself and earlier rules."""
         nonlocal seq
         for d, ia, ib, k in _critical_pairs(work, i, max_degree):
+            if i < given and d <= resolved:
+                continue  # resolved by the completion that gave these rules
             heapq.heappush(heap, (d, seq, ia, ib, k))
             seq += 1
 
@@ -275,12 +393,11 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
         add_rule(spoly)
 
     final = [r for r in work if r is not None]
-    # tail-reduce right-hand sides against the finished system
-    tidy = []
-    for r in final:
-        others = _Reducer([x for x in final if x is not r])
-        rhs = others.normal_form(r.rhs)
-        tidy.append(RewriteRule(r.lhs, rhs))
+    # tail-reduce right-hand sides against the finished system; a rule
+    # never applies to its own rhs, whose words are smaller words of the
+    # same length, so one reducer serves every rule
+    reducer = _Reducer(final)
+    tidy = [RewriteRule(r.lhs, reducer.normal_form(r.rhs)) for r in final]
     tidy.sort(key=lambda r: deg_lex_key(r.lhs))
     return RuleSet(alphabet, tidy, completed_degree=max_degree)
 

@@ -18,6 +18,14 @@ x-degree and exactly in the parameters: they are central and absent from
 the relations, so a difference lies in the ideal identically in L, M, N
 exactly when the coefficient of every parameter monomial does, and each
 coefficient goes through the caller's Verifier.decide.
+
+The integer windows are checked without a gcd.  At P_i = q^(k_i) a
+word's value is a sum of coefficients with different denominators;
+each is brought over one common denominator D, the lcm of the distinct
+denominators of the series, so the sum is a sum of integer polynomials.
+The finite product's coefficient c is then compared by cross-multiplying,
+numerator * c.den == c.num * D.  Only D itself takes gcds, one per
+distinct denominator that does not already divide it.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ import time
 from dataclasses import replace
 
 from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
-from qserre.qfield import ONE, q_power
+from qserre.qfield import (
+    ONE, QRat, _padd, _pdivmod_exact, _pgcd, _pmul, q_power,
+)
 from qserre.verify import VerificationReport, _combined
 
 
@@ -79,12 +89,44 @@ def _times(a: dict, b: dict, cutoff: int) -> dict:
     return {e: p for e, t in terms.items() if (p := NcPoly(alphabet, t))}
 
 
+def _over_common_denominator(series: dict, k):
+    """The series at P_i = q^(k_i), k_i >= 0, as (D, {word: numerator}).
+
+    D is the lcm of the distinct coefficient denominators, which are
+    deduplicated before any gcd is taken; each word's value is its
+    integer polynomial numerator over D, and no sum takes a gcd.
+    """
+    if min(k) < 0:
+        raise ValueError("window exponents must be >= 0")
+    dens = sorted({c.den for p in series.values() for c in p.terms.values()},
+                  key=lambda d: (-len(d), d))
+    D = (1,)
+    for d in dens:
+        try:
+            _pdivmod_exact(D, d)
+        except ArithmeticError:
+            D = _pmul(D, _pdivmod_exact(d, _pgcd(D, d)))
+    cofactor = {d: _pdivmod_exact(D, d) for d in dens}
+    nums = {}
+    for e, p in series.items():
+        shift = (0,) * (2 * (e[0] * k[0] + e[1] * k[1] + e[2] * k[2]))
+        for w, c in p.terms.items():
+            t = shift + _pmul(c.num, cofactor[c.den])
+            nums[w] = _padd(nums[w], t) if w in nums else t
+    return D, {w: t for w, t in nums.items() if t}
+
+
 def _at_powers(series: dict, alphabet, k) -> NcPoly:
     """The series at P_i = q^(k_i): the sum of A_e q^<e, k> over e."""
-    total = NcPoly.zero(alphabet)
-    for e, p in series.items():
-        total = total + p.scale(q_power(e[0] * k[0] + e[1] * k[1] + e[2] * k[2]))
-    return total
+    D, nums = _over_common_denominator(series, k)
+    return NcPoly(alphabet, {w: QRat(t, D) for w, t in nums.items()})
+
+
+def _matches_at_powers(series: dict, k, poly: NcPoly) -> bool:
+    """Does the series at P_i = q^(k_i) equal poly?  Cross-multiplied, no gcd."""
+    D, nums = _over_common_denominator(series, k)
+    return nums.keys() == poly.terms.keys() and all(
+        _pmul(nums[w], c.den) == _pmul(c.num, D) for w, c in poly.terms.items())
 
 
 def _truncated(p: NcPoly, cutoff: int) -> NcPoly:
@@ -148,8 +190,8 @@ def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
     integer_ok = True
     for window in ((2, 1, 0), (3, 2, 1), (3, 1, 0)):
         plhs, prhs = ayb_sides(alphabet, n, *window)
-        if (_at_powers(lhs, alphabet, window) != _truncated(plhs, cutoff)
-                or _at_powers(rhs, alphabet, window) != _truncated(prhs, cutoff)):
+        if not (_matches_at_powers(lhs, window, _truncated(plhs, cutoff))
+                and _matches_at_powers(rhs, window, _truncated(prhs, cutoff))):
             integer_ok = False
             break
     notes.append("integer-window specialization consistency checked")

@@ -1,9 +1,12 @@
 import itertools
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qserre.qfield import ONE, Q
+import qserre.rewrite as rewrite_module
+from qserre.qfield import ONE, Q, QRat, S
 from qserre.freealg import (
     NcPoly, deg_lex_key, serre_braiding, serre_relations, x_alphabet,
 )
@@ -11,9 +14,11 @@ from qserre.rewrite import (
     RewriteRule, RuleSet, base_rules, chi_e_rules,
     complete, critical_pair_residuals, dump_rules, normal_word_counts, orient,
 )
+from qserre.verify import Verifier
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def normal_words(rules, degree):
@@ -70,11 +75,39 @@ def test_completion_rank2_adds_nothing():
 
 
 @pytest.mark.parametrize("raw, low, high", [
-    (base_rules(3), 8, 10), (chi_e_rules(2), 6, 8)])
+    (base_rules(3), 8, 10), (chi_e_rules(2), 6, 8), (base_rules(4), 8, 12)])
 def test_resumed_completion_equals_a_fresh_one(raw, low, high):
     # the truncated reduced basis of a homogeneous ideal is unique
     resumed = complete(complete(raw, low), high)
     assert dump_rules(resumed) == dump_rules(complete(raw, high))
+
+
+def test_resumed_completion_forms_fewer_s_polynomials(monkeypatch):
+    # pairs of the given rules up to their completed degree are skipped:
+    # x rank 4 from 8 to 12 forms 2 S-polynomials, a fresh completion 53
+    raw = base_rules(4)
+    done = complete(raw, 8)
+    formed = []
+    real = rewrite_module._s_poly
+
+    def spy(*args):
+        formed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rewrite_module, "_s_poly", spy)
+    complete(done, 12)
+    resumed = len(formed)
+    formed.clear()
+    complete(raw, 12)
+    assert resumed < len(formed)
+
+
+@pytest.mark.parametrize("raw, degree, golden", [
+    (base_rules(4), 12, "rules_x_rank4_deg12.txt"),
+    (chi_e_rules(4), 8, "rules_chi_e_rank4_deg8.txt")])
+def test_rank4_completions_match_golden(raw, degree, golden):
+    # recorded with the Q(s) reducer, before rewriting moved to Z[s, 1/s]
+    assert dump_rules(complete(raw, degree)) == (GOLDEN / golden).read_text()
 
 
 def test_completion_rank1_empty():
@@ -206,3 +239,91 @@ def test_step_budget_guard():
     with pytest.raises(RuntimeError):
         complete(base_rules(3), 8, max_steps=2)
 
+
+
+# -- the Laurent reducer: Q(s)-linear over inputs with any denominators ----------
+
+LINEARITY_RULES = [complete(base_rules(3), 6), complete(chi_e_rules(2), 6)]
+# distinct denominators that are not powers of s, and Laurent coefficients
+NON_MONOMIAL = [ONE + Q, QRat(3) + Q, (QRat(2) + Q) / 7, ONE - Q * S, QRat(5)]
+LAURENT = [ONE, -ONE, Q, ONE / Q, S - ONE / S, QRat(2) + Q]
+
+
+def _coefficient(data):
+    num = data.draw(st.sampled_from(LAURENT))
+    return num / data.draw(st.sampled_from(NON_MONOMIAL + [ONE, S]))
+
+
+def _word(data, alphabet):
+    return tuple(data.draw(st.lists(st.integers(0, len(alphabet) - 1),
+                                    max_size=6)))
+
+
+def _poly(data, alphabet):
+    return NcPoly(alphabet, [(_word(data, alphabet), _coefficient(data))
+                             for _ in range(data.draw(st.integers(0, 4)))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_form_commutes_with_scalars(data):
+    rules = data.draw(st.sampled_from(LINEARITY_RULES))
+    p = _poly(data, rules.alphabet)
+    c = data.draw(st.sampled_from(LAURENT)) / data.draw(
+        st.sampled_from(NON_MONOMIAL))
+    assert rules.reduce(p.scale(c)) == rules.reduce(p).scale(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normal_form_is_additive(data):
+    rules = data.draw(st.sampled_from(LINEARITY_RULES))
+    p, p2 = _poly(data, rules.alphabet), _poly(data, rules.alphabet)
+    assert rules.reduce(p + p2) == rules.reduce(p) + rules.reduce(p2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_grouped_normal_form_equals_word_by_word(data):
+    rules = data.draw(st.sampled_from(LINEARITY_RULES))
+    a = rules.alphabet
+    dens = data.draw(st.permutations(NON_MONOMIAL))[:data.draw(
+        st.integers(2, len(NON_MONOMIAL)))]
+    terms = [(_word(data, a), data.draw(st.sampled_from(LAURENT)) / d)
+             for d in dens]
+    terms += [(_word(data, a), data.draw(st.sampled_from(LAURENT)))
+              for _ in range(data.draw(st.integers(0, 2)))]
+    one_by_one = NcPoly.zero(a)
+    for w, c in terms:
+        one_by_one = one_by_one + rules.reduce(NcPoly.monomial(a, w)).scale(c)
+    assert rules.reduce(NcPoly(a, terms)) == one_by_one
+
+
+def test_a_rule_with_rhs_zero_reduces_its_lhs_to_zero():
+    rs = RuleSet(A2, [RewriteRule((1, 0), NcPoly.zero(A2))])
+    x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
+    assert rs.reduce(x1 * x2 * x1 + x2 * x1 * x1 + x1) == x1
+
+
+def test_rule_with_a_non_laurent_coefficient_is_refused():
+    x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
+    rule = RewriteRule((1, 0), (x1 * x2).scale(ONE / (ONE + Q)))
+    with pytest.raises(ValueError) as err:
+        RuleSet(A2, [rule])
+    msg = str(err.value)
+    assert "\n" not in msg
+    assert "rule x2 x1" in msg and "not a Laurent polynomial in s" in msg
+
+
+def test_memo_holds_laurent_coefficients_after_a_qq_reduction():
+    v = Verifier(3, "rewrite")
+    assert v.check_qq(2, 1, 0).passed
+    memo = v.rules._reducer.memo
+    assert len(memo) > 100
+    for nf in memo.values():
+        for c in nf.values():
+            assert type(c) is tuple and len(c) == 2
+            shift, ints = c
+            assert type(shift) is int and type(ints) is tuple
+            assert ints[0] and ints[-1]  # trimmed at both ends
+            assert all(type(n) is int for n in ints)

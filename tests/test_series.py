@@ -7,8 +7,8 @@ from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphab
 from qserre import qfield as qfield_module
 from qserre import series
 from qserre.series import (
-    _at_powers, _times, _truncated, check_ayb_formal, check_ratio_identity,
-    formal_ayb_sides, ratio_series,
+    _at_powers, _over_common_denominator, _times, _truncated, check_ayb_formal,
+    check_ratio_identity, formal_ayb_sides, ratio_series,
 )
 from qserre.verify import Verifier
 
@@ -209,6 +209,32 @@ def test_ayb_formal_refuses_a_perturbed_coefficient(v2, monkeypatch):
     assert not r.passed
     # the residual comes from the decided L coefficient, not the integer check
     assert not r.residual.is_zero
+
+
+def test_integer_windows_catch_a_numerator_that_keeps_every_denominator(
+        v2, monkeypatch):
+    # q times one coefficient keeps its denominator, so the common
+    # denominator D of every window stays; only the cross-multiplied
+    # numerators can tell the perturbed series from the true one
+    real = series.formal_ayb_sides
+
+    def perturbed(alphabet, n, cutoff):
+        lhs, rhs = real(alphabet, n, cutoff)
+        p = lhs[(1, 0, 0)]
+        w, c = p.sorted_terms()[0]
+        lhs = dict(lhs)
+        lhs[(1, 0, 0)] = NcPoly(alphabet, {**p.terms, w: c * Q})
+        return lhs, rhs
+
+    lhs, _ = real(A2, 1, 4)
+    bad, _ = perturbed(A2, 1, 4)
+    for window in ((2, 1, 0), (3, 2, 1), (3, 1, 0)):
+        assert (_over_common_denominator(bad, window)[0]
+                == _over_common_denominator(lhs, window)[0])
+    monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
+    r = check_ayb_formal(v2, 1, 4)
+    assert not r.passed
+    assert "integer specialization mismatch" in r.notes
 
 
 def test_truncation_drops_overflow():
