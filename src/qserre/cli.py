@@ -27,8 +27,13 @@ from qserre.verify import (
     descending_triples, qq_windows,
 )
 
-SUITES = ("telescoping", "lemma", "central", "ayb", "far", "qq", "chie",
-          "ratio", "ayb-formal")
+# per suite, in run order: the lowest rank it runs at and the window
+# flags it reads
+WINDOWS = ("--lambda", "--mu", "--nu")
+SUITES = {"telescoping": (1, WINDOWS), "lemma": (2, WINDOWS[:2]),
+          "central": (2, ()), "ayb": (2, WINDOWS), "far": (3, WINDOWS[:2]),
+          "qq": (1, WINDOWS), "chie": (2, ()), "ratio": (1, ()),
+          "ayb-formal": (2, ())}
 # these never rewrite with the x rules, so --dump-rules names nothing
 SUITES_WITHOUT_X_RULES = ("telescoping", "ratio", "chie")
 
@@ -60,7 +65,7 @@ def build_parser():
 
     vf = sub.add_parser("verify", parents=[shared],
                         help="run an identity suite over its parameter grid")
-    vf.add_argument("suite", choices=SUITES + ("all",))
+    vf.add_argument("suite", choices=list(SUITES) + ["all"])
     vf.add_argument("--mode", choices=("rewrite", "oracle", "both"),
                     default="both")
     vf.add_argument("--lambda", dest="lam", type=int, default=None)
@@ -160,14 +165,6 @@ def _grid_pairs(args):
             for lam in range(args.lambda_max + 1) for mu in range(lam)]
 
 
-def _min_rank(suite: str) -> int:
-    if suite == "far":
-        return 3
-    if suite in ("lemma", "central", "ayb", "chie", "ayb-formal"):
-        return 2
-    return 1
-
-
 def _suite_reports(suite: str, args, v: Verifier, qq_grid):
     """Run one suite's checks over its grid, one after another."""
     rank = v.rank
@@ -213,14 +210,20 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        suites = [s for s in SUITES if args.rank >= _min_rank(s)]
+        suites = [s for s, (low, _) in SUITES.items() if args.rank >= low]
         if not suites:
             raise ValueError("no suite runs at rank %d" % args.rank)
     else:
         suites = [args.suite]
-        if args.rank < _min_rank(args.suite):
-            raise ValueError("suite %r needs rank >= %d"
-                             % (args.suite, _min_rank(args.suite)))
+        low = SUITES[args.suite][0]
+        if args.rank < low:
+            raise ValueError("suite %r needs rank >= %d" % (args.suite, low))
+    read = {flag for s in suites for flag in SUITES[s][1]}
+    for flag, value in zip(WINDOWS, (args.lam, args.mu, args.nu)):
+        if value is not None and flag not in read:
+            raise ValueError("no requested suite reads %s" % flag)
+    if args.lam is None and (args.mu, args.nu) != (None, None):
+        raise ValueError("--mu and --nu need --lambda")
     if args.lam is not None:
         qq_grid = [(args.lam, args.mu if args.mu is not None else 1,
                     args.nu if args.nu is not None else 0)]

@@ -1,10 +1,10 @@
 """Degree-bounded completion and normal forms for the defining ideals.
 
 Rules rewrite a leading word to a combination of deg-lex smaller words.
-Because every defining relation is homogeneous, completion per degree is
-guaranteed to terminate: critical pairs up to the requested degree are
-resolved, new rules picked up along the way, and the resulting set is a
-confluent rewriting system for all inputs within the certified degree.
+Every defining relation is homogeneous, so completion is one pass over
+the degrees up to the requested one, and it gives a rewriting system
+confluent within that degree.  No given lhs may be longer than the
+lowest degree resolved, so no new rule displaces an old one.
 
 Reduction is leftmost-first and memoized per word, which turns the
 repeated reductions of large ordered products into a cheap DP.
@@ -28,8 +28,6 @@ every output coefficient share it, and each would take a gcd against it.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from qserre.freealg import (
     Alphabet, NcPoly, chi_e_alphabet, chi_e_relations, deg_lex_key,
@@ -60,9 +58,6 @@ class RewriteRule:
 
     def __setattr__(self, *a):
         raise AttributeError("RewriteRule is immutable")
-
-    def as_poly(self) -> NcPoly:
-        return NcPoly.monomial(self.rhs.alphabet, self.lhs) - self.rhs
 
     def __repr__(self):
         return "<Rule %s -> %s>" % (self.rhs.alphabet.word_str(self.lhs), self.rhs)
@@ -300,11 +295,9 @@ def _critical_pairs(rules, i, max_degree):
     """Overlaps of rule i with rules 0..i, both ways, up to max_degree.
 
     Yields (degree, ia, ib, k): a proper suffix of length k of rule ia's
-    lhs equals a prefix of rule ib's lhs.  None entries are skipped.
+    lhs equals a prefix of rule ib's lhs.
     """
     for j in range(i + 1):
-        if rules[j] is None:
-            continue
         for ia, ib in ((i, j), (j, i)):
             a, b = rules[ia].lhs, rules[ib].lhs
             for k in range(1, min(len(a), len(b))):
@@ -325,81 +318,55 @@ def _s_poly(ra, rb, k, alphabet):
 def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSet:
     """Resolve all critical pairs of composed degree <= max_degree.
 
-    Homogeneity makes this terminate on its own; max_steps only guards
-    against implementation bugs.  Returns a new RuleSet whose reductions
-    are canonical for inputs of degree <= max_degree.
+    Degree by degree, each pair's S-polynomial is reduced by the rules so
+    far and, if nonzero, oriented into a new rule.  A set completed to
+    max_degree or beyond is returned unchanged, and max_steps only
+    guards against implementation bugs.
 
-    Resuming is cheap: a pair of two given rules is skipped when its
-    degree is at most rules.completed_degree, which only complete sets.
-    Such a pair already resolved against the given rules.  Every new
-    rule then comes from a pair of larger degree, so its lhs is longer
-    than completed_degree: it displaces no given rule and applies to no
-    word of length <= completed_degree, and the skipped pairs still
-    resolve.
+    A degree-d S-polynomial is homogeneous, so a new lhs is a normal
+    word of length d: it contains no lhs and could lie only inside a
+    longer one.  Precondition: no given lhs is longer than the lowest
+    degree resolved, 3 for raw relations or completed_degree + 1 for a
+    set completed before; otherwise the result is refused as not
+    inter-reduced.  Pairs of degree <= completed_degree are skipped:
+    they join only given rules, as every new lhs is longer, and they
+    already resolved.
     """
     if max_degree < 3 and rules.rules:
         raise ValueError("max_degree must be at least 3")
-    alphabet = rules.alphabet
+    if max_degree <= rules.completed_degree:
+        return rules
     work = list(rules.rules)
-    given, resolved = len(work), rules.completed_degree
-    seq = 0
-    heap = []
+    pending = [[] for _ in range(max_degree + 1)]  # critical pairs by degree
 
-    def queue_pairs_with(i):
-        """Push every critical pair of rule i with itself and earlier rules."""
-        nonlocal seq
+    def file_pairs(i):
         for d, ia, ib, k in _critical_pairs(work, i, max_degree):
-            if i < given and d <= resolved:
-                continue  # resolved by the completion that gave these rules
-            heapq.heappush(heap, (d, seq, ia, ib, k))
-            seq += 1
+            pending[d].append((ia, ib, k))
 
     for i in range(len(work)):
-        queue_pairs_with(i)
-
-    reducer = _Reducer([r for r in work if r is not None])
+        file_pairs(i)
+    reducer = _Reducer(work)
     steps = 0
-    candidates = []  # displaced rule polynomials waiting to re-enter
+    # a rule added at one degree files its pairs under later ones
+    for pairs in pending[rules.completed_degree + 1:]:
+        for ia, ib, k in pairs:
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError("completion exceeded the step budget")
+            nf = reducer.normal_form(
+                _s_poly(work[ia], work[ib], k, rules.alphabet))
+            if nf.is_zero:
+                continue
+            work.append(orient(nf))
+            reducer = _Reducer(work)
+            file_pairs(len(work) - 1)
 
-    def add_rule(poly):
-        """Reduce, orient and insert; displaced rules go back to candidates."""
-        nonlocal reducer
-        nf = reducer.normal_form(poly)
-        if nf.is_zero:
-            return
-        new = orient(nf)
-        for idx, r in enumerate(work):
-            if r is not None and _contains(r.lhs, new.lhs):
-                candidates.append(r.as_poly())
-                work[idx] = None
-        work.append(new)
-        reducer = _Reducer([r for r in work if r is not None])
-        queue_pairs_with(len(work) - 1)
-
-    while heap or candidates:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("completion exceeded the step budget")
-        if candidates:
-            add_rule(candidates.pop())
-            continue
-        d, _, ia, ib, k = heapq.heappop(heap)
-        ra, rb = work[ia], work[ib]
-        if ra is None or rb is None:
-            continue
-        spoly = _s_poly(ra, rb, k, alphabet)
-        if spoly.is_zero:
-            continue
-        add_rule(spoly)
-
-    final = [r for r in work if r is not None]
-    # tail-reduce right-hand sides against the finished system; a rule
-    # never applies to its own rhs, whose words are smaller words of the
-    # same length, so one reducer serves every rule
-    reducer = _Reducer(final)
-    tidy = [RewriteRule(r.lhs, reducer.normal_form(r.rhs)) for r in final]
+    # tail-reduce right-hand sides against the finished system, which the
+    # last reducer holds; a rule never applies to its own rhs, whose words
+    # are smaller words of the same length, so one reducer serves every rule
+    tidy = [RewriteRule(r.lhs, reducer.normal_form(r.rhs)) for r in work]
     tidy.sort(key=lambda r: deg_lex_key(r.lhs))
-    return RuleSet(alphabet, tidy, completed_degree=max_degree)
+    return RuleSet(rules.alphabet, tidy, completed_degree=max_degree)
 
 
 def critical_pair_residuals(rules: RuleSet, max_degree: int):

@@ -94,10 +94,10 @@ class Verifier:
         truncated reduced basis of a homogeneous ideal is unique, so this
         equals a fresh completion to the larger degree.
         """
-        if self._rules is None:
-            self._rules = complete(self.raw_rules(self.rank), max(8, degree))
-        elif degree > self._rules.completed_degree:
-            self._rules = complete(self._rules, degree)
+        degree = max(8, degree)
+        if self._rules is None or degree > self._rules.completed_degree:
+            given = self.raw_rules(self.rank) if self._rules is None else self._rules
+            self._rules = complete(given, degree)
         return self._rules
 
     @property

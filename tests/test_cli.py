@@ -389,6 +389,18 @@ def _case(n, argv, phrase):
     _case(8, ("verify", "qq", "--lambda-max", "-1"), "suite 'qq' has no check"),
     _case(9, ("verify", "all", "--lambda-max", "0"), "suite 'lemma' has no check"),
     _case(10, ("hilbert", "--max-degree", "-1"), "--max-degree -1 is negative"),
+    # a window flag that no requested suite would read
+    _case(11, ("verify", "central", "--rank", "2", "--lambda", "7"),
+          "no requested suite reads --lambda"),
+    _case(12, ("verify", "chie", "--lambda", "1"), "no requested suite reads --lambda"),
+    _case(13, ("verify", "ratio", "--nu", "4"), "no requested suite reads --nu"),
+    _case(14, ("verify", "ayb-formal", "--rank", "2", "--mu", "3"),
+          "no requested suite reads --mu"),
+    _case(15, ("verify", "lemma", "--nu", "2"), "no requested suite reads --nu"),
+    _case(16, ("verify", "far", "--rank", "3", "--nu", "1"),
+          "no requested suite reads --nu"),
+    _case(17, ("verify", "ayb", "--mu", "1"), "--mu and --nu need --lambda"),
+    _case(18, ("verify", "all", "--nu", "0"), "--mu and --nu need --lambda"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

@@ -75,11 +75,31 @@ def test_completion_rank2_adds_nothing():
 
 
 @pytest.mark.parametrize("raw, low, high", [
-    (base_rules(3), 8, 10), (chi_e_rules(2), 6, 8), (base_rules(4), 8, 12)])
+    (base_rules(3), 8, 10), (chi_e_rules(2), 6, 8), (base_rules(4), 8, 12),
+    (base_rules(5), 8, 9), (chi_e_rules(3), 8, 9)])
 def test_resumed_completion_equals_a_fresh_one(raw, low, high):
     # the truncated reduced basis of a homogeneous ideal is unique
     resumed = complete(complete(raw, low), high)
     assert dump_rules(resumed) == dump_rules(complete(raw, high))
+
+
+def test_completing_to_a_lower_degree_keeps_the_certificate():
+    done = complete(base_rules(3), 8)
+    again = complete(done, 6)
+    assert again is done and again.completed_degree == 8
+    assert normal_word_counts(again, 8) == normal_word_counts(done, 8)
+
+
+def test_a_given_lhs_longer_than_the_lowest_degree_is_refused():
+    # W holds the degree-4 lhs x3 x2 x1 x2 and no raw lhs; completion finds
+    # that rule at degree 4, inside the given lhs W, and displaces nothing
+    raw = base_rules(3)
+    w = NcPoly.monomial(A3, (2, 1, 0, 1, 0))
+    extra = orient(w - complete(raw, 9).reduce(w))
+    assert extra.lhs == (2, 1, 0, 1, 0)
+    given = RuleSet(A3, raw.rules + (extra,))
+    with pytest.raises(ValueError, match="not inter-reduced"):
+        complete(given, 9)
 
 
 def test_resumed_completion_forms_fewer_s_polynomials(monkeypatch):
@@ -177,7 +197,7 @@ def test_padded_rules_reduce_to_zero():
                 if len(u) + len(rule.lhs) + len(v) > 7:
                     continue
                 p = (NcPoly.monomial(A3, u)
-                     * rule.as_poly()
+                     * (NcPoly.monomial(A3, rule.lhs) - rule.rhs)
                      * NcPoly.monomial(A3, v))
                 assert rs.reduce(p).is_zero
 
