@@ -29,11 +29,12 @@ from qserre.verify import (
 
 # per suite, in run order: the lowest rank it runs at and the window
 # flags it reads
-WINDOWS = ("--lambda", "--mu", "--nu")
-SUITES = {"telescoping": (1, WINDOWS), "lemma": (2, WINDOWS[:2]),
-          "central": (2, ()), "ayb": (2, WINDOWS), "far": (3, WINDOWS[:2]),
+WINDOWS = ("--lambda-max", "--lambda", "--mu", "--nu")
+SUITES = {"telescoping": (1, WINDOWS), "lemma": (2, WINDOWS[:3]),
+          "central": (2, ()), "ayb": (2, WINDOWS), "far": (3, WINDOWS[:3]),
           "qq": (1, WINDOWS), "chie": (2, ()), "ratio": (1, ()),
           "ayb-formal": (2, ())}
+LAMBDA_MAX = 3  # the grid's top window without --lambda or --lambda-max
 # these never rewrite with the x rules, so --dump-rules names nothing
 SUITES_WITHOUT_X_RULES = ("telescoping", "ratio", "chie")
 
@@ -71,7 +72,7 @@ def build_parser():
     vf.add_argument("--lambda", dest="lam", type=int, default=None)
     vf.add_argument("--mu", type=int, default=None)
     vf.add_argument("--nu", type=int, default=None)
-    vf.add_argument("--lambda-max", type=int, default=3)
+    vf.add_argument("--lambda-max", type=int, default=None)
 
     hb = sub.add_parser("hilbert", parents=[shared],
                         help="normal-word counts per degree")
@@ -219,11 +220,15 @@ def cmd_verify(args) -> int:
         if args.rank < low:
             raise ValueError("suite %r needs rank >= %d" % (args.suite, low))
     read = {flag for s in suites for flag in SUITES[s][1]}
-    for flag, value in zip(WINDOWS, (args.lam, args.mu, args.nu)):
+    for flag, value in zip(WINDOWS, (args.lambda_max, args.lam, args.mu, args.nu)):
         if value is not None and flag not in read:
             raise ValueError("no requested suite reads %s" % flag)
     if args.lam is None and (args.mu, args.nu) != (None, None):
         raise ValueError("--mu and --nu need --lambda")
+    if args.lam is not None and args.lambda_max is not None:
+        raise ValueError("--lambda-max is not read when --lambda is given")
+    if args.lambda_max is None:
+        args.lambda_max = LAMBDA_MAX
     if args.lam is not None:
         qq_grid = [(args.lam, args.mu if args.mu is not None else 1,
                     args.nu if args.nu is not None else 0)]

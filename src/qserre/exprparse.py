@@ -13,6 +13,14 @@ Grammar, loosest binding first:
 LETTER is any generator of the active alphabet (x1, chi2, e1, ...).
 Division only by scalars, exponents only nonnegative; everything the
 canonical printer emits re-parses to an equal polynomial.
+
+The text is split into tokens by one regex scan.  Values are plain term
+maps, word -> nonzero QRat, not NcPolys: a product concatenates words
+and multiplies coefficients only where neither is the shared ONE that
+letters and the literal 1 carry; a sum merges maps and drops the terms
+that cancel; a division divides each coefficient by a scalar; a power
+is a repeated product; a form takes the terms of the element it
+names.  Only the finished value is wrapped in an NcPoly.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import re
 from qserre.freealg import (
     Alphabet, NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct,
 )
-from qserre.qfield import Q, QRat, S
+from qserre.qfield import ONE, Q, QRat, S
 
 
 class ParseError(ValueError):
@@ -31,25 +39,62 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+\d*)|([()+\-*/^;,]))")
+# integer, name, operator or punctuation, and any other visible character
+_TOKEN = re.compile(r"(\d+)|([A-Za-z]+\d*)|([()+\-*/^;,])|(\S)")
 
 
 def _tokenize(text):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], pos)
-            break
-        num, name, sym = m.groups()
-        tok = num or name or sym
-        kind = "int" if num else ("name" if name else sym)
-        out.append((kind, tok, m.start(1) if num else m.start(2) if name else m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group, tok = m.lastindex, m.group()
+        if group == 4:
+            raise ParseError("unexpected character %r" % tok, m.start())
+        out.append(("int" if group == 1 else "name" if group == 2 else tok,
+                    tok, m.start()))
     out.append(("end", "", len(text)))
     return out
+
+
+def _times(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+            c0 = out.get(w)
+            if c0 is None:
+                out[w] = c
+            else:
+                c = c0 + c
+                if c:
+                    out[w] = c
+                else:
+                    del out[w]
+    return out
+
+
+def _plus(a, b, negate=False):
+    out = dict(a)
+    for w, c in b.items():
+        c0 = out.get(w)
+        if c0 is None:
+            out[w] = -c if negate else c
+        else:
+            c = c0 - c if negate else c0 + c
+            if c:
+                out[w] = c
+            else:
+                del out[w]
+    return out
+
+
+def _divide(p, r, pos):
+    if not r:
+        raise ParseError("division by zero", pos)
+    if len(r) > 1 or () not in r:
+        raise ParseError("division only by scalar expressions", pos)
+    c = r[()]
+    return {w: x / c for w, x in p.items()}
 
 
 class _Parser:
@@ -73,7 +118,7 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (kind, tok or "end"), pos)
         return tok
 
-    def parse(self) -> NcPoly:
+    def parse(self) -> dict:
         p = self.expr()
         k, tok, pos = self.peek()
         if k != "end":
@@ -87,11 +132,10 @@ class _Parser:
             negate = True
         p = self.term()
         if negate:
-            p = -p
+            p = {w: -c for w, c in p.items()}
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            r = self.term()
-            p = p + r if op == "+" else p - r
+            p = _plus(p, self.term(), op == "-")
         return p
 
     def term(self):
@@ -100,10 +144,11 @@ class _Parser:
             k = self.peek()[0]
             if k in ("*", "/"):
                 self.next()
+                pos = self.peek()[2]
                 r = self.factor()
-                p = p * r if k == "*" else _divide(p, r, self.peek()[2])
+                p = _times(p, r) if k == "*" else _divide(p, r, pos)
             elif k in ("int", "name", "("):
-                p = p * self.factor()
+                p = _times(p, self.factor())
             else:
                 return p
 
@@ -114,31 +159,34 @@ class _Parser:
             k, tok, pos = self.next()
             if k != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            p = p ** int(tok)
+            base, p = p, {(): ONE}
+            for _ in range(int(tok)):
+                p = _times(p, base)
         return p
 
     def primary(self):
         k, tok, pos = self.next()
         if k == "int":
-            return NcPoly.unit(self.alphabet, QRat(int(tok)))
+            n = int(tok)
+            return {(): ONE if n == 1 else QRat(n)} if n else {}
         if k == "(":
             p = self.expr()
             self.expect(")")
             return p
         if k == "name":
             if tok == "q":
-                return NcPoly.unit(self.alphabet, Q)
+                return {(): Q}
             if tok == "s":
-                return NcPoly.unit(self.alphabet, S)
+                return {(): S}
             if tok in ("P", "K", "C", "Q") and self.peek()[0] == "(":
-                return self.form(tok, pos)
+                return self.form(tok, pos).terms
             try:
-                return NcPoly.generator(self.alphabet, tok)
+                return {(self.alphabet.index(tok),): ONE}
             except KeyError:
                 raise ParseError("unknown name %r" % tok, pos) from None
         raise ParseError("unexpected token %r" % (tok or "end"), pos)
 
-    def form(self, head, pos):
+    def form(self, head, pos) -> NcPoly:
         self.expect("(")
         if head == "P":
             gen = self.expect("name")
@@ -174,23 +222,6 @@ class _Parser:
             raise ParseError(str(err), pos) from None
 
 
-def _divide(p: NcPoly, r: NcPoly, pos) -> NcPoly:
-    c = _as_scalar(r)
-    if c is None:
-        raise ParseError("division only by scalar expressions", pos)
-    if not c:
-        raise ParseError("division by zero", pos)
-    return p.map_coefficients(lambda x: x / c)
-
-
-def _as_scalar(p: NcPoly):
-    if p.is_zero:
-        return QRat(0)
-    if set(p.terms) == {()}:
-        return p.terms[()]
-    return None
-
-
 def parse_expression(text: str, alphabet: Alphabet, rank=None) -> NcPoly:
     """Parse over the given alphabet; rank feeds the Q(...) forms."""
-    return _Parser(text, alphabet, rank).parse()
+    return NcPoly(alphabet, _Parser(text, alphabet, rank).parse())

@@ -9,7 +9,7 @@ as free-algebra elements, before any relations are imposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from qserre.qfield import ONE, QRat, ZERO, q_power, s_power
 
@@ -70,17 +70,15 @@ def chi_e_alphabet(rank: int) -> Alphabet:
     return Alphabet([("chi", rank), ("e", rank)])
 
 
-@dataclass(frozen=True)
-class SpectralWindow:
+class SpectralWindow(namedtuple("SpectralWindow", "lam mu")):
     """Integer window (lam, mu) with lam >= mu; the product runs j = mu..lam-1."""
 
-    lam: int
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lam < self.mu:
-            raise ValueError("window needs lam >= mu, got (%d, %d)"
-                             % (self.lam, self.mu))
+    def __new__(cls, lam: int, mu: int):
+        if lam < mu:
+            raise ValueError("window needs lam >= mu, got (%d, %d)" % (lam, mu))
+        return super().__new__(cls, lam, mu)
 
 
 def deg_lex_key(word):

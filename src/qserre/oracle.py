@@ -24,17 +24,14 @@ tests/reference_echelon.py.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
 from qserre.freealg import Alphabet, NcPoly
 
 
-@dataclass(frozen=True)
-class HomogeneousSlice:
-    degree: int
-    vector: NcPoly
+HomogeneousSlice = namedtuple("HomogeneousSlice", "degree vector")
 
 
 def split_homogeneous(p: NcPoly):

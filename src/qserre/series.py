@@ -31,7 +31,6 @@ distinct denominator that does not already divide it.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
 from qserre.qfield import (
@@ -199,4 +198,4 @@ def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
         notes.append("integer specialization mismatch")
     report = _combined("ayb-formal", (("n", n), ("rank", v.rank), ("D", cutoff)),
                        reports, alphabet, t0, tuple(notes))
-    return replace(report, passed=report.passed and integer_ok)
+    return report._replace(passed=report.passed and integer_ok)

@@ -14,7 +14,7 @@ are checked by plain expansion, with no ideal involved.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from qserre.freealg import (
     NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
@@ -30,15 +30,13 @@ class MethodDisagreement(RuntimeError):
     """Rewriting and the oracle returned different verdicts."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    params: tuple          # ordered (name, value) pairs
-    passed: bool
-    residual: NcPoly
-    methods: tuple
-    millis: float
-    notes: tuple = ()
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "identity params passed residual methods millis notes",
+        defaults=((),))):
+    """One check's verdict; params are ordered (name, value) pairs."""
+
+    __slots__ = ()
 
     @property
     def residual_terms(self) -> int:

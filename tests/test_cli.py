@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import re
+import subprocess
 import sys
 
 import pytest
@@ -48,6 +49,18 @@ def test_readme_names_exactly_the_shared_flags():
               for opt in action.option_strings}
     assert shared <= named
     assert named - shared == {"--lambda", "--mu", "--nu", "--lambda-max"}
+
+
+# -- startup -------------------------------------------------------------------
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: 10-13 ms of startup
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    probe = ("import sys; sys.path.insert(0, %r); import qserre.cli; "
+             "print('dataclasses' in sys.modules)" % src)
+    got = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert got.stdout == "False\n"
 
 
 # -- expression parsing -------------------------------------------------------
@@ -276,11 +289,11 @@ def test_verify_telescoping_text_mode(capsys):
 
 def test_verify_telescoping_one_window_runs_only_its_factor_orders(capsys):
     code, out, _ = run(capsys, "verify", "telescoping", "--lambda", "1",
-                       "--lambda-max", "3", "--output", "structured")
+                       "--output", "structured")
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     factor = [r["params"] for r in recs if r["suite"] == "factor-order"]
-    # gens x1, x2 at lam = 1, mu in 0..1; --lambda-max plays no part
+    # gens x1, x2 at lam = 1, mu in 0..1; the default grid plays no part
     assert sorted((p["gen"], p["lam"], p["mu"]) for p in factor) == [
         ("x1", 1, 0), ("x1", 1, 1), ("x2", 1, 0), ("x2", 1, 1)]
     assert sum(r["suite"] == "telescoping" for r in recs) == 2
@@ -401,6 +414,19 @@ def _case(n, argv, phrase):
           "no requested suite reads --nu"),
     _case(17, ("verify", "ayb", "--mu", "1"), "--mu and --nu need --lambda"),
     _case(18, ("verify", "all", "--nu", "0"), "--mu and --nu need --lambda"),
+    # --lambda-max where no grid is built from it
+    _case(19, ("verify", "central", "--lambda-max", "7"),
+          "no requested suite reads --lambda-max"),
+    _case(20, ("verify", "ratio", "--lambda-max", "9"),
+          "no requested suite reads --lambda-max"),
+    _case(21, ("verify", "chie", "--lambda-max", "1"),
+          "no requested suite reads --lambda-max"),
+    _case(22, ("verify", "ayb-formal", "--lambda-max", "2"),
+          "no requested suite reads --lambda-max"),
+    _case(23, ("verify", "lemma", "--lambda", "2", "--lambda-max", "0"),
+          "--lambda-max is not read when --lambda is given"),
+    _case(24, ("verify", "all", "--lambda", "1", "--lambda-max", "3"),
+          "--lambda-max is not read when --lambda is given"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

@@ -1,0 +1,211 @@
+"""The expression parser against NcPoly arithmetic, and its error positions."""
+
+import random
+
+import pytest
+
+from qserre.exprparse import ParseError, parse_expression
+from qserre.freealg import NcPoly, x_alphabet
+from qserre.qfield import Q, QRat, S
+
+A2, A3 = x_alphabet(2), x_alphabet(3)
+
+# binding levels of the grammar: expr < term < factor < primary
+EXPR, TERM, FACTOR, PRIMARY = range(4)
+
+
+# -- random expression trees ---------------------------------------------------
+#
+# A node is (level, text, value), value an NcPoly or the error message the
+# text must raise.  Each constructor renders its operands at the levels
+# the grammar needs there, adding parentheses where an operand binds less.
+
+def _at(node, level, rng):
+    lvl, text, _ = node
+    if lvl >= level:
+        return text
+    return "(%s)" % text if rng.random() < 0.7 else "( %s )" % text
+
+
+def _leaf(text, value):
+    return (PRIMARY, text, value)
+
+
+def _binary(level, left, op, right, combine, rng):
+    # the parser reports the leftmost error first
+    if isinstance(left[2], str):
+        value = left[2]
+    elif isinstance(right[2], str):
+        value = right[2]
+    else:
+        value = combine(left[2], right[2])
+    # juxtaposition needs a blank, or "x1" "2" would read as "x12"
+    sep = rng.choice((" ", "\t")) if op == " " else rng.choice(("", " ", "  "))
+    text = "%s%s%s%s%s" % (_at(left, level, rng), sep, op.strip(), sep,
+                           _at(right, level + 1, rng))
+    return (level, text, value)
+
+
+def _divide(p, r):
+    if r.is_zero:
+        return "division by zero"
+    if set(r.terms) != {()}:
+        return "division only by scalar expressions"
+    c = r.terms[()]
+    return p.map_coefficients(lambda x: x / c)
+
+
+def _power(node, k, rng):
+    _, _, p = node
+    value = p if isinstance(p, str) else p ** k
+    return (FACTOR, "%s^%d" % (_at(node, PRIMARY, rng), k), value)
+
+
+def _negate(node, rng):
+    _, _, p = node
+    return (EXPR, "-" + _at(node, TERM, rng), p if isinstance(p, str) else -p)
+
+
+class Trees:
+    def __init__(self, alphabet, rng):
+        self.alphabet = alphabet
+        self.rng = rng
+
+    def leaf(self, scalar=False):
+        rng, a = self.rng, self.alphabet
+        pick = rng.randrange(4 if scalar else 8)  # half letters
+        if pick == 0:
+            n = rng.choice((0, 1, 1, 2, 3, 7, 10, 12345678901234567890))
+            return _leaf(str(n), NcPoly.unit(a, QRat(n)))
+        if pick == 1:
+            return _leaf("q", NcPoly.unit(a, Q))
+        if pick == 2:
+            return _leaf("s", NcPoly.unit(a, S))
+        if pick == 3:
+            return self.coefficient()
+        name = rng.choice(a.letters)
+        return _leaf(name, NcPoly.generator(a, name))
+
+    def coefficient(self):
+        """One of the membership stream's coefficient shapes."""
+        rng, a = self.rng, self.alphabet
+
+        def n(lo=1):
+            k = rng.randint(lo, 9)
+            return _leaf(str(k), NcPoly.unit(a, QRat(k)))
+        q, s = _leaf("q", NcPoly.unit(a, Q)), _leaf("s", NcPoly.unit(a, S))
+        shape = rng.randrange(6)
+        if shape == 0:
+            return n()
+        if shape == 1:
+            return _binary(TERM, n(), "/", n(), _divide, rng)
+        if shape == 2:
+            return _binary(TERM, n(), "*", _power(q, rng.randint(1, 3), rng),
+                           NcPoly.__mul__, rng)
+        if shape == 3:
+            return _power(s, rng.randint(1, 3), rng)
+        if shape == 4:
+            return _binary(EXPR, n(), "+",
+                           _binary(TERM, n(), "*", q, NcPoly.__mul__, rng),
+                           NcPoly.__add__, rng)
+        top = _binary(EXPR, _binary(TERM, n(), "*", s, NcPoly.__mul__, rng),
+                      "-", n(), NcPoly.__sub__, rng)
+        bottom = _binary(EXPR, n(), "+", q, NcPoly.__add__, rng)
+        return _binary(TERM, top, "/", bottom, _divide, rng)
+
+    def divisor(self, depth):
+        """A scalar, at times plus letters that cancel, rarely zero."""
+        rng = self.rng
+        r = self.tree(depth, scalar=True)
+        pick = rng.randrange(8)
+        if pick < 5:
+            return r
+        t = self.tree(1)
+        gone = _binary(EXPR, t, "-", t, NcPoly.__sub__, rng)
+        if pick < 7:
+            return _binary(EXPR, r, "+", gone, NcPoly.__add__, rng)
+        return gone if rng.random() < 0.5 else self.tree(1)
+
+    def tree(self, depth, scalar=False):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            return self.leaf(scalar)
+        op = rng.choice(("+", "-", "*", " ", "/", "^", "neg"))
+        if op == "^":
+            return _power(self.tree(depth - 1, scalar), rng.randint(0, 3), rng)
+        if op == "neg":
+            return _negate(self.tree(depth - 1, scalar), rng)
+        left = self.tree(depth - 1, scalar)
+        if op == "/":
+            return _binary(TERM, left, "/", self.divisor(depth - 1), _divide, rng)
+        right = self.tree(depth - 1, scalar)
+        if op in ("*", " "):
+            return _binary(TERM, left, op, right, NcPoly.__mul__, rng)
+        return _binary(EXPR, left, op, right,
+                       NcPoly.__add__ if op == "+" else NcPoly.__sub__, rng)
+
+
+def _cases(alphabet):
+    """(text, NcPoly or error message) for 400 random trees of depth 4."""
+    trees = Trees(alphabet, random.Random(len(alphabet)))
+    return [trees.tree(4)[1:] for _ in range(400)]
+
+
+def _outcome(text, alphabet):
+    try:
+        return parse_expression(text, alphabet)
+    except ParseError as err:
+        return str(err).rsplit(" (at position", 1)[0]
+
+
+@pytest.mark.parametrize("alphabet", [A2, A3], ids=["A2", "A3"])
+def test_parse_agrees_with_ncpoly_arithmetic(alphabet):
+    # every random tree parses to what NcPoly operations make of it, or
+    # fails with the message those operations call for
+    for text, want in _cases(alphabet):
+        assert _outcome(text, alphabet) == want, text
+
+
+@pytest.mark.parametrize("alphabet", [A2, A3], ids=["A2", "A3"])
+def test_trees_reach_every_outcome(alphabet):
+    wants = [want for _, want in _cases(alphabet)]
+    assert "division by zero" in wants
+    assert "division only by scalar expressions" in wants
+    assert sum(isinstance(p, NcPoly) and len(p.terms) > 3 for p in wants) > 20
+
+
+def test_a_divisor_is_a_scalar_once_its_letters_cancel():
+    x1 = NcPoly.generator(A2, "x1")
+    assert parse_expression("x1/(2 + x2 x1 - x2 x1)", A2) == x1.scale(QRat(1, 2))
+
+
+def test_parsing_a_relation_multiplies_no_ncpoly(monkeypatch):
+    calls = []
+    real = NcPoly.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(NcPoly, "__mul__", spy)
+    text = ("(3*s-2)/(1+q)*x1*(x1*x1*x2 + q*x2*x1*x1 - (1+q)*x1*x2*x1)*x2"
+            " - 4*q^2*(x3*x1 - x1*x3)*x2")
+    p = parse_expression(text, A3)
+    assert calls == [] and len(p.terms) == 5
+
+
+# -- error positions -----------------------------------------------------------
+
+@pytest.mark.parametrize("text, message, pos", [
+    # the bad character itself, not the blank before it
+    ("x1 ? x2", "unexpected character '?'", 3),
+    ("x1 + $x2", "unexpected character '$'", 5),
+    # the divisor, not where the parser stood after reading it
+    ("1/x1", "division only by scalar expressions", 2),
+    ("x1/0 + x2", "division by zero", 3),
+    ("x1 / (q - q) x2", "division by zero", 5),
+])
+def test_errors_point_at_their_cause(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, A2)
+    assert err.value.pos == pos
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
