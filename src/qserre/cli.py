@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
-such as a bad rank, an empty grid or an unwritable --dump-rules path),
-3 when rewriting and the oracle disagree, which is an engine bug.
+such as a bad rank, an empty grid, an unwritable --dump-rules path or
+a parse error), 3 when rewriting and the oracle disagree: an engine bug.
 Rule sets come only from completing the defining relations, and every
 command takes them from a Verifier's rules_for, which completes them to
 max(8, the largest degree reduced); a verify run that never rewrites
@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from qserre.exprparse import ParseError, parse_expression
+from qserre.exprparse import parse_expression
 from qserre.rewrite import dump_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
     except ValueError as err:
-        # bad ranks, windows and grids; unwritable dumps
+        # bad ranks, windows and grids; unwritable dumps; parse errors
         print("error: %s" % err, file=sys.stderr)
         return 2
 
@@ -117,11 +117,7 @@ def _dump_rules(args, rules):
 def cmd_normal_form(args) -> int:
     uses_chi_e = bool(re.search(r"\b(chi|e)\d+\b", args.expr))
     verifier = (ChiEVerifier if uses_chi_e else Verifier)(args.rank)
-    try:
-        poly = parse_expression(args.expr, verifier.alphabet, args.rank)
-    except ParseError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return 2
+    poly = parse_expression(args.expr, verifier.alphabet, args.rank)
     rules = verifier.rules_for(poly.degree or 0)
     _dump_rules(args, rules)
     print(rules.reduce(poly))

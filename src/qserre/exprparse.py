@@ -15,12 +15,11 @@ Division only by scalars, exponents only nonnegative; everything the
 canonical printer emits re-parses to an equal polynomial.
 
 The text is split into tokens by one regex scan.  Values are plain term
-maps, word -> nonzero QRat, not NcPolys: a product concatenates words
-and multiplies coefficients only where neither is the shared ONE that
-letters and the literal 1 carry; a sum merges maps and drops the terms
-that cancel; a division divides each coefficient by a scalar; a power
-is a repeated product; a form takes the terms of the element it
-names.  Only the finished value is wrapped in an NcPoly.
+maps, word -> nonzero QRat, not NcPolys, and every sum and product of
+them goes through freealg's kernels, add_terms and mul_terms; a division
+divides each coefficient by a scalar, a power is a repeated product and
+a form takes the terms of the element it names.  Only the finished
+value is wrapped in an NcPoly.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from __future__ import annotations
 import re
 
 from qserre.freealg import (
-    Alphabet, NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct,
+    Alphabet, NcPoly, SpectralWindow, add_terms, big_Q, c_element, k_element,
+    mul_terms, qproduct,
 )
 from qserre.qfield import ONE, Q, QRat, S
 
@@ -55,37 +55,27 @@ def _tokenize(text):
     return out
 
 
-def _times(a, b):
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-            c0 = out.get(w)
-            if c0 is None:
-                out[w] = c
-            else:
-                c = c0 + c
-                if c:
-                    out[w] = c
-                else:
-                    del out[w]
-    return out
+# Caps on what a text may expand to, each checked before the value is
+# built, so that bad input ends in a ParseError rather than 10^9 loop
+# steps or exhausted memory.  The tests and the bench queries reach at
+# most an exponent of 9, a window integer of 3 and a 16-term product.
+#
+# exponents and window integers count factors multiplied one by one:
+# P(x1; 0, 32) takes 0.08 s and Q(32) at rank 2 6 s, P(x1; 0, 64) 2 s
+MAX_EXPONENT = 32
+# terms of a product, or of a Q(...) form, counted before it is built:
+# (x1+x2)^13 has 8192 and parses in 0.01 s
+MAX_TERMS = 10_000
+# a power multiplies the length of its base's longest word or coefficient
+# tuple by the exponent, so nested powers grow geometrically in the text
+MAX_WIDTH = 1024
 
 
-def _plus(a, b, negate=False):
-    out = dict(a)
-    for w, c in b.items():
-        c0 = out.get(w)
-        if c0 is None:
-            out[w] = -c if negate else c
-        else:
-            c = c0 - c if negate else c0 + c
-            if c:
-                out[w] = c
-            else:
-                del out[w]
-    return out
+def _product(a, b, pos):
+    if len(a) * len(b) > MAX_TERMS:
+        raise ParseError("a product of %d by %d terms passes the cap of %d "
+                         "terms" % (len(a), len(b), MAX_TERMS), pos)
+    return mul_terms({}, a, b)
 
 
 def _divide(p, r, pos):
@@ -118,6 +108,14 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (kind, tok or "end"), pos)
         return tok
 
+    def count(self, what) -> int:
+        pos = self.peek()[2]
+        n = int(self.expect("int"))
+        if n > MAX_EXPONENT:
+            raise ParseError("%s %d passes the cap of %d"
+                             % (what, n, MAX_EXPONENT), pos)
+        return n
+
     def parse(self) -> dict:
         p = self.expr()
         k, tok, pos = self.peek()
@@ -126,17 +124,14 @@ class _Parser:
         return p
 
     def expr(self):
-        negate = False
+        p, op = {}, "+"
         if self.peek()[0] == "-":
-            self.next()
-            negate = True
-        p = self.term()
-        if negate:
-            p = {w: -c for w, c in p.items()}
-        while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            p = _plus(p, self.term(), op == "-")
-        return p
+        while True:
+            add_terms(p, self.term().items(), op == "-")
+            if self.peek()[0] not in ("+", "-"):
+                return p
+            op = self.next()[0]
 
     def term(self):
         p = self.factor()
@@ -144,24 +139,28 @@ class _Parser:
             k = self.peek()[0]
             if k in ("*", "/"):
                 self.next()
-                pos = self.peek()[2]
-                r = self.factor()
-                p = _times(p, r) if k == "*" else _divide(p, r, pos)
-            elif k in ("int", "name", "("):
-                p = _times(p, self.factor())
-            else:
+            elif k not in ("int", "name", "("):
                 return p
+            pos = self.peek()[2]
+            r = self.factor()
+            p = _divide(p, r, pos) if k == "/" else _product(p, r, pos)
 
     def factor(self):
         p = self.primary()
         if self.peek()[0] == "^":
             self.next()
-            k, tok, pos = self.next()
+            k, _, pos = self.peek()
             if k != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            n = self.count("exponent")
+            width = max((max(len(w), len(c.num), len(c.den))
+                         for w, c in p.items()), default=0)
+            if n * width > MAX_WIDTH:
+                raise ParseError("exponent %d on a base of width %d passes the "
+                                 "cap of %d" % (n, width, MAX_WIDTH), pos)
             base, p = p, {(): ONE}
-            for _ in range(int(tok)):
-                p = _times(p, base)
+            for _ in range(n):
+                p = _product(p, base, pos)
         return p
 
     def primary(self):
@@ -193,9 +192,9 @@ class _Parser:
             if gen not in self.alphabet.letters:
                 raise ParseError("unknown generator %r" % gen, pos)
             self.expect(";")
-            mu = int(self.expect("int"))
+            mu = self.count("window integer")
             self.expect(",")
-            lam = int(self.expect("int"))
+            lam = self.count("window integer")
             self.expect(")")
             try:
                 return qproduct(self.alphabet, gen, SpectralWindow(lam, mu))
@@ -210,18 +209,25 @@ class _Parser:
                 raise ParseError("%s() needs the rank-2 x generators" % head,
                                  pos) from None
         # Q(lambda) or Q(lambda, nu)
-        lam = int(self.expect("int"))
+        lam = self.count("window integer")
         nu = 0
         if self.peek()[0] == ",":
             self.next()
-            nu = int(self.expect("int"))
+            nu = self.count("window integer")
         self.expect(")")
         try:
-            return big_Q(self.alphabet, self.rank, SpectralWindow(lam, nu))
+            window = SpectralWindow(lam, nu)
+            # each term is a power of each of the rank letters
+            if (lam - nu + 1) ** self.rank > MAX_TERMS:
+                raise ValueError("Q(%d, %d) at rank %d passes the cap of %d terms"
+                                 % (lam, nu, self.rank, MAX_TERMS))
+            return big_Q(self.alphabet, self.rank, window)
         except ValueError as err:
             raise ParseError(str(err), pos) from None
+        except KeyError:
+            raise ParseError("Q() needs the x generators", pos) from None
 
 
 def parse_expression(text: str, alphabet: Alphabet, rank=None) -> NcPoly:
     """Parse over the given alphabet; rank feeds the Q(...) forms."""
-    return NcPoly(alphabet, _Parser(text, alphabet, rank).parse())
+    return NcPoly._of(alphabet, _Parser(text, alphabet, rank).parse())

@@ -1,10 +1,12 @@
 """Free associative algebra over Q(s) and the elements under study.
 
 Words are tuples of letter indices into an Alphabet; polynomials are
-sparse maps word -> coefficient.  The constructors at the bottom build
-the finite q-products, the k and c elements, the ordered Q-operator
-products and the two sides of the braid-type exchange relation exactly
-as free-algebra elements, before any relations are imposed.
+sparse maps word -> coefficient, added and multiplied only by add_terms
+and mul_terms.  The constructors at the bottom build the finite
+q-products, the k and c elements, the ordered Q-operator products and
+the two sides of the braid-type exchange relation exactly as free-algebra
+elements, before any relations are imposed; x_relations writes the
+x-family relations on any images of the generators.
 """
 
 from __future__ import annotations
@@ -91,6 +93,43 @@ def deg_lex_key(word):
     return (len(word), word)
 
 
+def add_terms(out: dict, pairs, negate=False) -> dict:
+    """Add (or subtract) (word, coefficient) pairs into out; zeros drop out."""
+    for w, c in pairs:
+        c0 = out.get(w)
+        if c0 is not None:
+            c = c0 - c if negate else c0 + c
+        elif negate:
+            c = -c
+        if c:
+            out[w] = c
+        elif c0 is not None:
+            del out[w]
+    return out
+
+
+def mul_terms(out: dict, a: dict, b: dict, cutoff=None) -> dict:
+    """Add the product of the term maps a and b into out; return out.
+
+    A shared ONE coefficient is not multiplied, cancelled words drop out
+    and, with a cutoff, no longer word is formed.
+    """
+    for w1, c1 in a.items():
+        pairs = b.items() if cutoff is None else [
+            t for t in b.items() if len(w1) + len(t[0]) <= cutoff]
+        for w2, c2 in pairs:
+            w = w1 + w2
+            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+            c0 = out.get(w)
+            if c0 is None:
+                out[w] = c
+            elif c := c0 + c:
+                out[w] = c
+            else:
+                del out[w]
+    return out
+
+
 class NcPoly:
     """Element of the free algebra: finite map word -> coefficient."""
 
@@ -98,17 +137,17 @@ class NcPoly:
 
     def __init__(self, alphabet: Alphabet, terms=None):
         object.__setattr__(self, "alphabet", alphabet)
-        clean = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                w = tuple(w)
-                c0 = clean.get(w)
-                c = c if c0 is None else c0 + c
-                if c:
-                    clean[w] = c
-                elif w in clean:
-                    del clean[w]
-        object.__setattr__(self, "terms", clean)
+        pairs = (terms.items() if isinstance(terms, dict) else terms) or ()
+        object.__setattr__(self, "terms",
+                           add_terms({}, ((tuple(w), c) for w, c in pairs)))
+
+    @classmethod
+    def _of(cls, alphabet, terms: dict) -> "NcPoly":
+        """Wrap a term map with no zero coefficient, without copying it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("NcPoly is immutable; build new values")
@@ -163,23 +202,15 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c0 = out.get(w)
-            c = c if c0 is None else c0 + c
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-        p = object.__new__(NcPoly)
-        object.__setattr__(p, "alphabet", self.alphabet)
-        object.__setattr__(p, "terms", out)
-        return p
+        return NcPoly._of(self.alphabet,
+                          add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return NcPoly._of(self.alphabet,
+                          add_terms(dict(self.terms), other.terms.items(), True))
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)
@@ -188,32 +219,16 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                c0 = out.get(w)
-                c = c if c0 is None else c0 + c
-                if c:
-                    out[w] = c
-                elif w in out:
-                    del out[w]
-        p = object.__new__(NcPoly)
-        object.__setattr__(p, "alphabet", self.alphabet)
-        object.__setattr__(p, "terms", out)
-        return p
+        return NcPoly._of(self.alphabet, mul_terms({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         # scalars commute with everything, so this covers scalar * poly
         return self.scale(other)
 
     def scale(self, c) -> "NcPoly":
-        if isinstance(c, int):
-            c = QRat(c)
-        if not c:
-            return NcPoly(self.alphabet)
-        return self.map_coefficients(lambda x: c * x)
+        c = QRat(c) if isinstance(c, int) else c
+        return NcPoly._of(self.alphabet,
+                          mul_terms({}, self.terms, {(): c}) if c else {})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -356,29 +371,33 @@ def ayb_sides(alphabet: Alphabet, n: int, lam: int, mu: int, nu: int):
 # defining relations (the input both the rewriter and the oracle start from)
 # ---------------------------------------------------------------------------
 
-def serre_relations(alphabet: Alphabet) -> list:
-    """Cubic relations and distant commutations for the x-family.
+def x_relations(gens) -> list:
+    """(params, relation) pairs of the x-family on gens, images of x_1..x_r.
 
-    Each cubic one reads  x_n x_n x_{n+1} + x_{n+1} x_n x_n q
-    - x_n x_{n+1} x_n (1+q)  and its mirror; letters at distance >= 2
-    commute.
+    "serre1" a a b + b a a q - a b a (1+q) and "serre2" a b b + b b a q
+    - b a b (1+q) for (a, b) = (x_n, x_{n+1}); "distant" x_m x_n - x_n x_m.
     """
-    rank = len(alphabet)
     q1 = q_power(1)
-    rels = []
-    for n in range(1, rank):
-        a = NcPoly.generator(alphabet, "x%d" % n)
-        b = NcPoly.generator(alphabet, "x%d" % (n + 1))
-        rels.append(a * a * b + (b * a * a).scale(q1)
-                    - (a * b * a).scale(ONE + q1))
-        rels.append(a * b * b + (b * b * a).scale(q1)
-                    - (b * a * b).scale(ONE + q1))
-    for m in range(3, rank + 1):
+    out = []
+    for n in range(1, len(gens)):
+        a, b = gens[n - 1], gens[n]
+        out.append(((("family", "serre1"), ("n", n)), a * a * b
+                    + (b * a * a).scale(q1) - (a * b * a).scale(ONE + q1)))
+        out.append(((("family", "serre2"), ("n", n)), a * b * b
+                    + (b * b * a).scale(q1) - (b * a * b).scale(ONE + q1)))
+    for m in range(3, len(gens) + 1):
         for n in range(1, m - 1):
-            xm = NcPoly.generator(alphabet, "x%d" % m)
-            xn = NcPoly.generator(alphabet, "x%d" % n)
-            rels.append(xm * xn - xn * xm)
-    return rels
+            xm, xn = gens[m - 1], gens[n - 1]
+            out.append(((("family", "distant"), ("m", m), ("n", n)),
+                        xm * xn - xn * xm))
+    return out
+
+
+def serre_relations(alphabet: Alphabet) -> list:
+    """x_relations on the generators x_1..x_r themselves."""
+    return [rel for _, rel in x_relations(
+        [NcPoly.generator(alphabet, "x%d" % n)
+         for n in range(1, len(alphabet) + 1)])]
 
 
 def chi_e_relations(alphabet: Alphabet) -> list:

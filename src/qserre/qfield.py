@@ -9,7 +9,6 @@ are safe to share between concurrent checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 
@@ -146,13 +145,6 @@ def _pgcd(a, b):
         r = _primitive(_prem(a, b))
         a, b = b, r
     return a
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_str(cs):
@@ -337,16 +329,7 @@ class QRat:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- evaluation and display ----------------------------------------------
-
-    def __call__(self, s_value) -> Fraction:
-        """Exact value at s = s_value; raises if the denominator vanishes."""
-        s_value = Fraction(s_value)
-        d = _peval(self.den, s_value)
-        if d == 0:
-            raise ZeroDivisionError(
-                "denominator vanishes at s=%s" % (s_value,))
-        return _peval(self.num, s_value) / d
+    # -- display --------------------------------------------------------------
 
     def __repr__(self):
         return "QRat(%s)" % self
@@ -369,17 +352,15 @@ def _is_simple_neg(txt):
 def _coerce(x):
     if isinstance(x, QRat):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return QRat(x)
     return NotImplemented
 
 
 def _as_parts(x):
-    """(num tuple, den tuple) of an int / Fraction / QRat / coeff seq."""
+    """(num tuple, den tuple) of an int / QRat / coeff seq."""
     if isinstance(x, QRat):
         return x.num, x.den
-    if isinstance(x, Fraction):
-        return ((x.numerator,) if x.numerator else ()), (x.denominator,)
     if isinstance(x, int):
         return ((x,) if x else ()), (1,)
     return _trim(tuple(x)), (1,)

@@ -30,8 +30,8 @@ every output coefficient share it, and each would take a gcd against it.
 from __future__ import annotations
 
 from qserre.freealg import (
-    Alphabet, NcPoly, chi_e_alphabet, chi_e_relations, deg_lex_key,
-    serre_relations, x_alphabet,
+    Alphabet, NcPoly, add_terms, chi_e_alphabet, chi_e_relations,
+    deg_lex_key, serre_relations, x_alphabet,
 )
 from qserre.qfield import QRat, _pmul
 
@@ -227,11 +227,8 @@ class _Reducer:
             for w, (cs, cp) in terms:
                 for w2, (s2, p2) in self.word_normal_form(w).items():
                     _add_into(acc, w2, (cs + s2, _pmul(cp, p2)))
-            for w2, c in acc.items():
-                c = _as_qrat(c, den)
-                c0 = out.get(w2)
-                out[w2] = c if c0 is None else c0 + c
-        return NcPoly(p.alphabet, out)
+            add_terms(out, ((w, _as_qrat(c, den)) for w, c in acc.items()))
+        return NcPoly._of(p.alphabet, out)
 
 
 class RuleSet:

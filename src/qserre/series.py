@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import time
 
-from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
+from qserre.freealg import (
+    NcPoly, SpectralWindow, add_terms, ayb_sides, mul_terms, qproduct,
+    x_alphabet,
+)
 from qserre.qfield import (
     ONE, QRat, _padd, _pdivmod_exact, _pgcd, _pmul, q_power,
 )
@@ -62,30 +65,19 @@ def ratio_series(alphabet, gen: str, up: int, low: int, cutoff: int) -> dict:
             e = [0, 0, 0]
             e[up] += i
             e[low] += j
-            e = tuple(e)
-            c = head * inv_qq[j]
-            coeffs[e] = coeffs[e] + c if e in coeffs else c
+            add_terms(coeffs, [(tuple(e), head * inv_qq[j])])
     return {e: NcPoly.monomial(alphabet, (g,) * sum(e), c)
-            for e, c in coeffs.items() if c}
+            for e, c in coeffs.items()}
 
 
 def _times(a: dict, b: dict, cutoff: int) -> dict:
-    """Product of two series; word pairs past the cutoff are never formed."""
+    """Product of two series; their words multiply by mul_terms with the cutoff."""
     terms = {}
     for ea, pa in a.items():
-        alphabet = pa.alphabet
         for eb, pb in b.items():
-            acc = terms.setdefault(
-                (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2]), {})
-            for w1, c1 in pa.terms.items():
-                room = cutoff - len(w1)
-                for w2, c2 in pb.terms.items():
-                    if len(w2) > room:
-                        continue
-                    w = w1 + w2
-                    c0 = acc.get(w)
-                    acc[w] = c1 * c2 if c0 is None else c0 + c1 * c2
-    return {e: p for e, t in terms.items() if (p := NcPoly(alphabet, t))}
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            mul_terms(terms.setdefault(e, {}), pa.terms, pb.terms, cutoff)
+    return {e: NcPoly._of(pa.alphabet, t) for e, t in terms.items() if t}
 
 
 def _over_common_denominator(series: dict, k):

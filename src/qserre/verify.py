@@ -19,10 +19,10 @@ from collections import namedtuple
 from qserre.freealg import (
     NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
     chi_e_braiding, k_element, lemma_product, qproduct, serre_braiding,
-    x_alphabet,
+    x_alphabet, x_relations,
 )
 from qserre.oracle import IdealOracle, randomized_precheck
-from qserre.qfield import ONE, q_power
+from qserre.qfield import q_power
 from qserre.rewrite import RuleSet, base_rules, chi_e_rules, complete
 
 
@@ -255,31 +255,15 @@ class ChiEVerifier(Verifier):
     braiding_for = staticmethod(chi_e_braiding)
     raw_rules = staticmethod(chi_e_rules)
 
-    def _y(self, i):
-        return (NcPoly.generator(self.alphabet, "chi%d" % i)
-                * NcPoly.generator(self.alphabet, "e%d" % i))
-
     def _decide(self, params, diff):
         return self.decide("chie", params, diff, (_CHI_E_NOTE,))
 
     def family_reports(self):
-        """One report per relation family instance."""
-        q1 = q_power(1)
-        out = []
-        for n in range(1, self.rank):
-            a, b = self._y(n), self._y(n + 1)
-            first = a * a * b + (b * a * a).scale(q1) - (a * b * a).scale(ONE + q1)
-            second = a * b * b + (b * b * a).scale(q1) - (b * a * b).scale(ONE + q1)
-            out.append(self._decide((("family", "serre1"), ("n", n)), first))
-            out.append(self._decide((("family", "serre2"), ("n", n)), second))
-        for m in range(1, self.rank + 1):
-            for n in range(1, self.rank + 1):
-                if m - n >= 2:
-                    ym, yn = self._y(m), self._y(n)
-                    out.append(self._decide((("family", "distant"),
-                                             ("m", m), ("n", n)),
-                                            ym * yn - yn * ym))
-        return out
+        """One report per relation family instance, as x_relations lists them."""
+        ys = [NcPoly.generator(self.alphabet, "chi%d" % n)
+              * NcPoly.generator(self.alphabet, "e%d" % n)
+              for n in range(1, self.rank + 1)]
+        return [self._decide(params, rel) for params, rel in x_relations(ys)]
 
 
 def check_chi_e(rank: int, **kwargs) -> VerificationReport:

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -54,13 +55,15 @@ def test_readme_names_exactly_the_shared_flags():
 # -- startup -------------------------------------------------------------------
 
 def test_importing_the_cli_loads_no_dataclasses():
-    # dataclasses imports inspect, ast, dis and tokenize: 10-13 ms of startup
+    # dataclasses imports inspect, ast, dis and tokenize: 10-13 ms of
+    # startup; fractions and decimal about 2.8 ms more
     src = str(pathlib.Path(__file__).parents[1] / "src")
     probe = ("import sys; sys.path.insert(0, %r); import qserre.cli; "
-             "print('dataclasses' in sys.modules)" % src)
+             "print([m for m in ('dataclasses', 'fractions', 'decimal') "
+             "if m in sys.modules])" % src)
     got = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True, check=True)
-    assert got.stdout == "False\n"
+    assert got.stdout == "[]\n"
 
 
 # -- expression parsing -------------------------------------------------------
@@ -180,9 +183,7 @@ def test_cmd_normal_form_completes_to_the_input_degree(capsys):
 
 
 def test_cmd_normal_form_parse_error(capsys):
-    code, out, err = run(capsys, "normal-form", "x1 +")
-    assert code == 2
-    assert "parse error" in err
+    _one_error_line(*run(capsys, "normal-form", "x1 +"), 2, "(at position 4)")
 
 
 # -- verify command -----------------------------------------------------------
@@ -427,9 +428,26 @@ def _case(n, argv, phrase):
           "--lambda-max is not read when --lambda is given"),
     _case(24, ("verify", "all", "--lambda", "1", "--lambda-max", "3"),
           "--lambda-max is not read when --lambda is given"),
+    # Q(...) over the chi-e alphabet
+    _case(25, ("normal-form", "e1 + Q(2)"), "Q() needs the x generators"),
+    _case(26, ("normal-form", "chi1 Q(2,1)"), "Q() needs the x generators"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
+
+
+@pytest.mark.parametrize("text", [
+    "(x1+x2)^30", "(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)"
+    "(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)", "x1^1000000000",
+    "P(x1; 0, 1000000000)", "Q(1000000)", "Q(20) x1", "((q^32)^32)^32",
+    "((x1^32)^32)^32",
+])
+def test_a_text_that_expands_past_a_cap_exits_2_at_once(capsys, text):
+    # each would loop about 10^9 times or build 2^14 to 2^30 terms
+    t0 = time.perf_counter()
+    got = run(capsys, "normal-form", text, "--rank", "4")
+    assert time.perf_counter() - t0 < 1.0
+    _one_error_line(*got, 2, "passes the cap of")
 
 
 def test_oracle_mode_decides_all_of_rank_2(capsys, completions):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from qserre.qfield import ONE, Q, q_power
+from qserre.qfield import ONE, Q, QRat, ZERO, q_power
 from qserre.freealg import (
-    NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
-    k_element, lemma_product, qproduct, serre_relations, x_alphabet,
+    NcPoly, SpectralWindow, add_terms, ayb_sides, big_Q, c_element,
+    chi_e_alphabet, k_element, lemma_product, mul_terms, qproduct,
+    serre_relations, x_alphabet, x_relations,
 )
 
 A2 = x_alphabet(2)
@@ -169,3 +170,93 @@ def test_str_roundtrippable_form():
     assert str(NcPoly.zero(A2)) == "0"
     assert str(unit(A2)) == "1"
     assert str(x1 - x2) == "-x2 + x1" or str(x1 - x2) == "x1 - x2"
+
+
+# -- the term-map kernels against a naive reference ---------------------------
+
+def naive_product(a, b, cutoff=None):
+    """Every pair multiplied with plain QRat arithmetic, zeros dropped last."""
+    sums = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if cutoff is None or len(w1) + len(w2) <= cutoff:
+                sums[w1 + w2] = sums.get(w1 + w2, ZERO) + c1 * c2
+    return {w: c for w, c in sums.items() if c != ZERO}
+
+
+def naive_sum(a, b, sign=1):
+    sums = dict(a)
+    for w, c in b.items():
+        sums[w] = sums.get(w, ZERO) + QRat(sign) * c
+    return {w: c for w, c in sums.items() if c != ZERO}
+
+
+# the shared ONE, negatives, and values that cancel against each other
+COEFFS = (ONE, ONE, -ONE, Q, -Q, ONE + Q, -ONE - Q, QRat(2),
+          (ONE - Q) / (ONE + Q), QRat(-1, 3))
+
+
+def random_terms(rng, alphabet):
+    return {tuple(rng.randrange(len(alphabet))
+                  for _ in range(rng.randrange(4))): rng.choice(COEFFS)
+            for _ in range(rng.randrange(7))}
+
+
+@pytest.mark.parametrize("alphabet", [A2, A3], ids=["A2", "A3"])
+def test_kernels_agree_with_the_naive_reference(alphabet):
+    rng = random.Random(11)
+    seen = {"ONE": 0, "product cancels": 0, "sum cancels": 0, "cut": 0}
+    for _ in range(300):
+        a, b, c = (random_terms(rng, alphabet) for _ in range(3))
+        if rng.random() < 0.5:
+            # (1 + k w)(1 - k w): k w cancels in the product and the sum
+            w, k = (rng.randrange(len(alphabet)),), rng.choice(COEFFS)
+            a.update({(): ONE, w: k})
+            b.update({(): ONE, w: -k})
+        pa, pb = NcPoly(alphabet, a), NcPoly(alphabet, b)
+        want = naive_product(a, b)
+        assert mul_terms({}, a, b) == want
+        assert (pa * pb).terms == want
+        assert mul_terms(dict(c), a, b) == naive_sum(c, want)
+        assert add_terms(dict(a), b.items()) == naive_sum(a, b)
+        assert (pa + pb).terms == naive_sum(a, b)
+        assert add_terms(dict(a), b.items(), True) == naive_sum(a, b, -1)
+        assert (pa - pb).terms == naive_sum(a, b, -1)
+        for cutoff in range(7):
+            cut = naive_product(a, b, cutoff)
+            assert mul_terms({}, a, b, cutoff) == cut
+            seen["cut"] += cut != want
+        seen["ONE"] += any(x is ONE for x in a.values())
+        seen["product cancels"] += len({u + v for u in a for v in b}) > len(want)
+        seen["sum cancels"] += len(a.keys() | b.keys()) > len(naive_sum(a, b))
+    assert min(seen.values()) >= 20, seen
+
+
+# the x-family relations up to rank 4, written out: letter i is x_(i+1)
+CUBIC = (  # n, then its serre1 and serre2 relations
+    (1, {(0, 0, 1): ONE, (1, 0, 0): Q, (0, 1, 0): -ONE - Q},
+        {(0, 1, 1): ONE, (1, 1, 0): Q, (1, 0, 1): -ONE - Q}),
+    (2, {(1, 1, 2): ONE, (2, 1, 1): Q, (1, 2, 1): -ONE - Q},
+        {(1, 2, 2): ONE, (2, 2, 1): Q, (2, 1, 2): -ONE - Q}),
+    (3, {(2, 2, 3): ONE, (3, 2, 2): Q, (2, 3, 2): -ONE - Q},
+        {(2, 3, 3): ONE, (3, 3, 2): Q, (3, 2, 3): -ONE - Q}),
+)
+DISTANT = (  # m, n and the commutator x_m x_n - x_n x_m
+    (3, 1, {(2, 0): ONE, (0, 2): -ONE}),
+    (4, 1, {(3, 0): ONE, (0, 3): -ONE}),
+    (4, 2, {(3, 1): ONE, (1, 3): -ONE}),
+)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_serre_relations_are_the_written_out_list(rank):
+    want = [rel for n, *pair in CUBIC if n < rank for rel in pair]
+    want += [rel for m, n, rel in DISTANT if m <= rank]
+    assert [r.terms for r in serre_relations(x_alphabet(rank))] == want
+    labels = [p for n, *_ in CUBIC if n < rank
+              for p in ((("family", "serre1"), ("n", n)),
+                        (("family", "serre2"), ("n", n)))]
+    labels += [(("family", "distant"), ("m", m), ("n", n))
+               for m, n, _ in DISTANT if m <= rank]
+    gens = [gen(x_alphabet(rank), "x%d" % i) for i in range(1, rank + 1)]
+    assert [p for p, _ in x_relations(gens)] == labels
