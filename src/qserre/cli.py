@@ -5,7 +5,7 @@ identity fails, 2 for usage or configuration errors (any ValueError,
 such as a bad rank, an empty grid, an unwritable --dump-rules path or
 a parse error), 3 when rewriting and the oracle disagree: an engine bug.
 Rule sets come only from completing the defining relations, and every
-command takes them from a Verifier's rules_for, which completes them to
+command takes them from a Decider's rules_for, which completes them to
 max(8, the largest degree reduced); a verify run that never rewrites
 completes nothing.  Output is deterministic for a fixed configuration;
 structured mode emits one JSON record per check (the millis field is
@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from qserre.exprparse import parse_expression
+from qserre.exprparse import _TOKEN, parse_expression
 from qserre.rewrite import dump_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
@@ -39,8 +39,6 @@ LAMBDA_MAX = 3  # the grid's top window without --lambda or --lambda-max
 SUITES_WITHOUT_X_RULES = ("telescoping", "ratio", "chie")
 
 RATIO_WINDOWS = ((0, 1), (0, 2), (1, 3))
-RATIO_CUTOFF = 6
-FORMAL_CUTOFF = 4
 
 
 def shared_parser():
@@ -115,7 +113,9 @@ def _dump_rules(args, rules):
 
 
 def cmd_normal_form(args) -> int:
-    uses_chi_e = bool(re.search(r"\b(chi|e)\d+\b", args.expr))
+    # the parser's own tokens, so "3e1" and "chi1e1" name chi-e letters too
+    uses_chi_e = any(re.fullmatch(r"(chi|e)\d+", m.group())
+                     for m in _TOKEN.finditer(args.expr))
     verifier = (ChiEVerifier if uses_chi_e else Verifier)(args.rank)
     poly = parse_expression(args.expr, verifier.alphabet, args.rank)
     rules = verifier.rules_for(poly.degree or 0)
@@ -199,10 +199,10 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
         yield from ChiEVerifier(rank, v.mode).family_reports()
     elif suite == "ratio":
         for mu, lam in RATIO_WINDOWS:
-            yield check_ratio_identity(mu, lam, RATIO_CUTOFF)
+            yield check_ratio_identity(mu, lam)
     else:  # ayb-formal
         for n in range(1, rank):
-            yield check_ayb_formal(v, n, FORMAL_CUTOFF)
+            yield check_ayb_formal(v, n)
 
 
 def cmd_verify(args) -> int:

@@ -6,8 +6,8 @@ the degrees up to the requested one, and it gives a rewriting system
 confluent within that degree.  No given lhs may be longer than the
 lowest degree resolved, so no new rule displaces an old one.
 
-Reduction is leftmost-first and memoized per word, which turns the
-repeated reductions of large ordered products into a cheap DP.
+A RuleSet is its own reducer, leftmost-first and memoized per word,
+which turns repeated reductions of large ordered products into a DP.
 
 Rewriting is integer arithmetic over Z[s, 1/s].  Every completed rule
 coefficient is a Laurent polynomial in s, so each word's normal form is
@@ -147,22 +147,41 @@ def _as_qrat(c, den):
     return QRat(num, _pmul(low, den))
 
 
-class _Reducer:
-    """Leftmost rewriting to fixpoint over a frozen rule list, memoized.
+class RuleSet:
+    """Inter-reduced rewrite rules with a confluence certificate up to a degree.
 
+    It is also their reducer: leftmost rewriting to fixpoint, memoized.
     The memo maps a word to its normal form as {word: (shift, ints)},
     Laurent coefficients in s; rules are indexed by their first letter.
     """
 
-    def __init__(self, rules):
-        self.rules = tuple(rules)
-        self.memo = {(): {(): _L_ONE}}
-        self._max_len = max((len(r.lhs) for r in self.rules), default=0)
+    __slots__ = ("alphabet", "rules", "completed_degree", "memo",
+                 "_max_len", "_by_first")
+
+    def __init__(self, alphabet, rules, completed_degree=0):
+        rules = tuple(rules)
+        lhss = [r.lhs for r in rules]
+        for a in lhss:
+            for b in lhss:
+                if a is not b and _contains(b, a):
+                    raise ValueError("rule set not inter-reduced: %s inside %s"
+                                     % (a, b))
         by_first = {}
-        for r in self.rules:
+        for r in rules:
             by_first.setdefault(r.lhs[0], []).append(
                 (r.lhs, len(r.lhs), _rule_laurent(r)))
-        self._by_first = by_first
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "completed_degree", completed_degree)
+        object.__setattr__(self, "memo", {(): {(): _L_ONE}})
+        object.__setattr__(self, "_max_len", max(map(len, lhss), default=0))
+        object.__setattr__(self, "_by_first", by_first)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RuleSet is immutable; complete() returns a new one")
+
+    def __len__(self):
+        return len(self.rules)
 
     def _find(self, word, start):
         """The leftmost rule match at or after start, as (i, len(lhs), rhs)."""
@@ -211,7 +230,7 @@ class _Reducer:
         return memo[word]
 
     def normal_form(self, p: NcPoly) -> NcPoly:
-        """NF(p), one Laurent sum per denominator of p's coefficients.
+        """NF(p): canonical when deg(p) <= completed_degree, else a remainder.
 
         NF(sum n_w w / d) = NF(sum n_w w) / d, so each group of terms
         sharing the denominator d (up to a power of s) is reduced over
@@ -230,41 +249,9 @@ class _Reducer:
             add_terms(out, ((w, _as_qrat(c, den)) for w, c in acc.items()))
         return NcPoly._of(p.alphabet, out)
 
-
-class RuleSet:
-    """Inter-reduced rewrite rules with a confluence certificate up to a degree."""
-
-    __slots__ = ("alphabet", "rules", "completed_degree", "_reducer")
-
-    def __init__(self, alphabet, rules, completed_degree=0):
-        rules = tuple(rules)
-        lhss = [r.lhs for r in rules]
-        for a in lhss:
-            for b in lhss:
-                if a is not b and _contains(b, a):
-                    raise ValueError("rule set not inter-reduced: %s inside %s"
-                                     % (a, b))
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "completed_degree", completed_degree)
-        object.__setattr__(self, "_reducer", _Reducer(rules))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RuleSet is immutable; complete() returns a new one")
-
-    def __len__(self):
-        return len(self.rules)
-
-    def reduce(self, p: NcPoly) -> NcPoly:
-        """Normal form of p, canonical when deg(p) <= completed_degree.
-
-        A sound remainder modulo the ideal at any degree; the caller
-        completes far enough first, as Verifier.rules_for does.
-        """
-        return self._reducer.normal_form(p)
-
-    # the name bench/layertrace.py binds
-    reduce_flagged = reduce
+    # the names bench/layertrace.py traces; complete() calls normal_form,
+    # so completion steps stay out of the traced rewrite.reduce counters
+    reduce = reduce_flagged = normal_form
 
 
 def _contains(hay, needle):
@@ -312,12 +299,15 @@ def _s_poly(ra, rb, k, alphabet):
             - NcPoly.monomial(alphabet, a[:len(a) - k]) * rb.rhs)
 
 
-def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSet:
+MAX_STEPS = 100000  # critical pairs one completion may resolve
+
+
+def complete(rules: RuleSet, max_degree: int) -> RuleSet:
     """Resolve all critical pairs of composed degree <= max_degree.
 
     Degree by degree, each pair's S-polynomial is reduced by the rules so
     far and, if nonzero, oriented into a new rule.  A set completed to
-    max_degree or beyond is returned unchanged, and max_steps only
+    max_degree or beyond is returned unchanged, and MAX_STEPS only
     guards against implementation bugs.
 
     A degree-d S-polynomial is homogeneous, so a new lhs is a normal
@@ -342,20 +332,20 @@ def complete(rules: RuleSet, max_degree: int, max_steps: int = 100000) -> RuleSe
 
     for i in range(len(work)):
         file_pairs(i)
-    reducer = _Reducer(work)
+    reducer = RuleSet(rules.alphabet, work)
     steps = 0
     # a rule added at one degree files its pairs under later ones
     for pairs in pending[rules.completed_degree + 1:]:
         for ia, ib, k in pairs:
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_STEPS:
                 raise RuntimeError("completion exceeded the step budget")
             nf = reducer.normal_form(
                 _s_poly(work[ia], work[ib], k, rules.alphabet))
             if nf.is_zero:
                 continue
             work.append(orient(nf))
-            reducer = _Reducer(work)
+            reducer = RuleSet(rules.alphabet, work)
             file_pairs(len(work) - 1)
 
     # tail-reduce right-hand sides against the finished system, which the
@@ -370,7 +360,7 @@ def critical_pair_residuals(rules: RuleSet, max_degree: int):
     """All S-polynomial normal forms up to max_degree; empty support = confluent."""
     rs = rules.rules
     return [((rs[ia].lhs, rs[ib].lhs, k),
-             rules.reduce(_s_poly(rs[ia], rs[ib], k, rules.alphabet)))
+             rules.normal_form(_s_poly(rs[ia], rs[ib], k, rules.alphabet)))
             for i in range(len(rs))
             for _, ia, ib, k in _critical_pairs(rs, i, max_degree)]
 

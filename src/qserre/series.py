@@ -189,5 +189,5 @@ def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
     if not integer_ok:
         notes.append("integer specialization mismatch")
     report = _combined("ayb-formal", (("n", n), ("rank", v.rank), ("D", cutoff)),
-                       reports, alphabet, t0, tuple(notes))
+                       reports, t0, tuple(notes))
     return report._replace(passed=report.passed and integer_ok)

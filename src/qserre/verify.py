@@ -7,6 +7,9 @@ which applies the quantum symmetrizer to every slice.  The two decision
 paths must agree; a disagreement is an engine bug and raises instead of
 reporting.
 
+Decider is that decision core for any presentation.  Verifier holds the
+x checks, and ChiEVerifier the x-relation families on y_n = chi_n e_n.
+
 Telescoping and factor commutativity hold in the free algebra itself and
 are checked by plain expansion, with no ideal involved.
 """
@@ -52,20 +55,16 @@ class VerificationReport(namedtuple(
             self.identity, ps, status, "+".join(self.methods))
 
 
-class Verifier:
-    """Shared context for the x-algebra checks at one rank.
+class Decider:
+    """Membership in the defining ideal of one presentation at one rank.
 
-    Completion and the oracle are built lazily on first use and keep memo
-    tables that later checks reuse, so one instance serves its checks one
-    after another.  The rule set is completed to max(8, the largest
-    degree reduced so far), so every rewriting verdict is canonical.  A
-    subclass for another presentation supplies its alphabet, braiding
-    and raw rules.
+    A subclass names the presentation: alphabet_for, braiding_for and
+    raw_rules.  Completion and the oracle are built lazily on first use
+    and keep memo tables that later decisions reuse, so one instance
+    serves its checks one after another.  The rule set is completed to
+    max(8, the largest degree reduced so far), so every rewriting
+    verdict is canonical.
     """
-
-    alphabet_for = staticmethod(x_alphabet)
-    braiding_for = staticmethod(serre_braiding)
-    raw_rules = staticmethod(base_rules)
 
     def __init__(self, rank: int, mode: str = "both"):
         if mode not in ("rewrite", "oracle", "both"):
@@ -81,7 +80,7 @@ class Verifier:
     def rules(self) -> RuleSet:
         """The rules completed to max(8, the largest degree decided so far).
 
-        A verifier in oracle mode completes them only when asked here.
+        A decider in oracle mode completes them only when asked here.
         """
         return self.rules_for(self._degree)
 
@@ -104,8 +103,6 @@ class Verifier:
         if self._oracle is None:
             self._oracle = IdealOracle(self.alphabet, self.braiding_for)
         return self._oracle
-
-    # -- the decision core ----------------------------------------------------
 
     def decide(self, identity: str, params, diff: NcPoly, notes=()) -> VerificationReport:
         """Is diff in the ideal?  Runs the configured methods and compares.
@@ -152,13 +149,22 @@ class Verifier:
         return VerificationReport(identity, tuple(params), in_ideal, residual,
                                   tuple(methods), millis, tuple(notes))
 
+
+class Verifier(Decider):
+    """The identities of the x presentation: x_1..x_r with the q-Serre relations."""
+
+    alphabet_for = staticmethod(x_alphabet)
+    braiding_for = staticmethod(serre_braiding)
+    raw_rules = staticmethod(base_rules)
+
+    # the name bench/layertrace.py traces, bound in this class's own dict
+    decide = Decider.decide
+
     @staticmethod
     def _expansion_report(identity, params, diff, t0, notes=()):
         millis = (time.perf_counter() - t0) * 1000.0
         return VerificationReport(identity, tuple(params), diff.is_zero, diff,
                                   ("expand",), millis, tuple(notes))
-
-    # -- the identities ---------------------------------------------------------
 
     def check_telescoping(self, gen: str, lam: int, mu: int, nu: int) -> VerificationReport:
         """Window splitting holds identically, before any relations."""
@@ -214,7 +220,7 @@ class Verifier:
             reports.append(self.decide("central", (("element", element), ("with", g)),
                                        z * x - x * z))
         return _combined("central", (("element", element), ("n", n)),
-                         reports, self.alphabet, t0)
+                         reports, t0)
 
     def check_ayb(self, n: int, lam: int, mu: int, nu: int) -> VerificationReport:
         lhs, rhs = ayb_sides(self.alphabet, n, lam, mu, nu)
@@ -248,7 +254,7 @@ _CHI_E_NOTE = ("assumes distant chi pairs commute and every chi commutes "
                "with every e")
 
 
-class ChiEVerifier(Verifier):
+class ChiEVerifier(Decider):
     """Checks that y_n = chi_n e_n satisfies the x-family relations."""
 
     alphabet_for = staticmethod(chi_e_alphabet)
@@ -266,23 +272,16 @@ class ChiEVerifier(Verifier):
         return [self._decide(params, rel) for params, rel in x_relations(ys)]
 
 
-def check_chi_e(rank: int, **kwargs) -> VerificationReport:
-    """All three x-relation families for y_n = chi_n e_n at this rank."""
-    t0 = time.perf_counter()
-    v = ChiEVerifier(rank, **kwargs)
-    return _combined("chie", (("rank", rank),), v.family_reports(),
-                     v.alphabet, t0, (_CHI_E_NOTE,))
-
-
-def _combined(identity, params, reports, alphabet, t0, notes=()):
+def _combined(identity, params, reports, t0, notes=()):
     """One report for several checks: it passes when all of them do.
 
+    Its residual is the first nonzero one, or the first report's zero.
     No checks at all is an error, not a pass.
     """
     if not reports:
         raise ValueError("%s %s has no check to combine" % (identity, params))
     residual = next((r.residual for r in reports if not r.residual.is_zero),
-                    NcPoly.zero(alphabet))
+                    reports[0].residual)
     methods = reports[0].methods
     millis = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(identity, params, all(r.passed for r in reports),

@@ -174,6 +174,11 @@ def test_cmd_normal_form_k_c(capsys):
 def test_cmd_normal_form_chi_e(capsys):
     code, out, _ = run(capsys, "normal-form", "e1 chi1")
     assert code == 0 and out.splitlines()[0] == "chi1 e1"
+    # the alphabet follows the parser's tokens, which need no space
+    for text, nf in (("3e1", "3*e1"), ("e1e2", "e1 e2"), ("chi1e1", "chi1 e1"),
+                     ("3x2x1x1", "((3+3*q)/q)*x1 x2 x1 - (3/q)*x1 x1 x2")):
+        code, out, _ = run(capsys, "normal-form", text)
+        assert code == 0 and out.splitlines()[0] == nf, text
 
 
 def test_cmd_normal_form_completes_to_the_input_degree(capsys):

@@ -255,9 +255,26 @@ def test_completion_deterministic():
         [(r.lhs, sorted(r.rhs.terms.items(), key=str)) for r in b.rules]
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
+    monkeypatch.setattr(rewrite_module, "MAX_STEPS", 2)
     with pytest.raises(RuntimeError):
-        complete(base_rules(3), 8, max_steps=2)
+        complete(base_rules(3), 8)
+
+
+def test_completion_never_calls_the_traced_reduce(monkeypatch):
+    # complete reduces with normal_form, so the rewrite.reduce counters of a
+    # trace count only the reductions its callers ask for
+    calls = []
+
+    def spy(self, p):
+        calls.append(p)
+        return RuleSet.normal_form(self, p)
+
+    monkeypatch.setattr(RuleSet, "reduce", spy)
+    done = complete(base_rules(3), 9)
+    assert calls == []
+    done.reduce(NcPoly.generator(A3, "x1"))  # the spy sees a caller's call
+    assert len(calls) == 1
 
 
 
@@ -338,7 +355,7 @@ def test_rule_with_a_non_laurent_coefficient_is_refused():
 def test_memo_holds_laurent_coefficients_after_a_qq_reduction():
     v = Verifier(3, "rewrite")
     assert v.check_qq(2, 1, 0).passed
-    memo = v.rules._reducer.memo
+    memo = v.rules.memo
     assert len(memo) > 100
     for nf in memo.values():
         for c in nf.values():

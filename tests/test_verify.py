@@ -9,7 +9,7 @@ from qserre.freealg import (
 )
 from qserre.rewrite import base_rules, complete, dump_rules
 from qserre.verify import (
-    ChiEVerifier, Verifier, check_chi_e, descending_triples, qq_windows,
+    ChiEVerifier, Decider, Verifier, descending_triples, qq_windows,
 )
 
 
@@ -200,17 +200,32 @@ def test_completion_resumes_only_for_a_larger_degree(monkeypatch):
 
 def test_chi_e_embedding():
     for rank in (2, 3):
-        r = check_chi_e(rank)
-        assert r.passed, rank
-        assert any("assumes" in note for note in r.notes)
+        reports = ChiEVerifier(rank).family_reports()
+        assert reports and all(r.passed for r in reports), rank
+        assert all(r.notes == (verify_module._CHI_E_NOTE,) for r in reports)
 
 
 def test_chi_e_with_no_check_raises():
     # rank 1 has no relation family: an empty combined report is an error,
     # not a pass with nothing checked
     for mode in ("oracle", "both"):
+        reports = ChiEVerifier(1, mode=mode).family_reports()
+        assert reports == []
         with pytest.raises(ValueError, match="chie"):
-            check_chi_e(1, mode=mode)
+            verify_module._combined("chie", (("rank", 1),), reports, 0.0)
+
+
+def test_chi_e_verifier_carries_no_x_check():
+    # the x checks build x letters, which the chi-e alphabet lacks
+    chie, x = ChiEVerifier(2), Verifier(2)
+    assert not isinstance(chie, Verifier)
+    assert [a for a in dir(chie) if a.startswith("check_")] == []
+    assert isinstance(chie, Decider) and isinstance(x, Decider)
+    # one decision core for both presentations
+    assert ChiEVerifier.decide is Decider.decide
+    assert vars(Verifier)["decide"] is Decider.decide
+    assert chie.decide("probe", (), chi_e_relations(chie.alphabet)[0]).passed
+    assert x.decide("probe", (), serre_relations(x.alphabet)[0]).passed
 
 
 def test_chi_e_family_reports():
