@@ -6,19 +6,27 @@ the degrees up to the requested one, and it gives a rewriting system
 confluent within that degree.  No given lhs may be longer than the
 lowest degree resolved, so no new rule displaces an old one.
 
-A RuleSet is its own reducer, leftmost-first and memoized per word,
-which turns repeated reductions of large ordered products into a DP.
+A RuleSet is its own reducer, memoized per word.  It builds NF(w) as
+NF(NF(w[:-1]) w[-1]): up to the completed degree NF(w) is the unique
+irreducible element congruent to w, so the two agree (the case k = 1 of
+Bergman's diamond lemma, Adv. Math. 29, 1978).  A rule can match a
+normal word times a letter only as a suffix, so rules are indexed by
+last letter, and at most one lhs is such a suffix: a shorter one would
+lie inside the longer.  On a set that is not confluent, such as
+completion's working sets, this still applies only valid rewrites and
+ends in irreducible words, so NF is a remainder.  Completion copies
+memo entries into each new set, never sharing a dict: a word shorter
+than a new lhs cannot contain it, so only entries shorter than each
+added rule, or within the degree of a set completed further, carry.
 
 Rewriting is integer arithmetic over Z[s, 1/s].  Every completed rule
 coefficient is a Laurent polynomial in s, so each word's normal form is
 one too: the memo stores a coefficient as (shift, ints), the value
 s^shift * sum(ints[i] s^i) with both end entries nonzero.  A product is
 a convolution and a sum an aligned add, with no gcd and no
-normalization.  Rules are indexed by the first letter of their lhs, so
-a match is tried only with the rules that can start at each position.
-A rule with a coefficient whose denominator is not a power of s is
-refused with a ValueError that names the rule; no completion of the x
-or chi-e rules at ranks 2 to 5 has made one.
+normalization.  A rule with a coefficient whose denominator is not a
+power of s is refused with a ValueError that names the rule; no
+completion of the x or chi-e rules at ranks 2 to 5 has made one.
 
 An input may have any Q(s) coefficients.  normal_form groups its terms
 by their denominator d, up to a power of s, reduces each group over
@@ -150,32 +158,30 @@ def _as_qrat(c, den):
 class RuleSet:
     """Inter-reduced rewrite rules with a confluence certificate up to a degree.
 
-    It is also their reducer: leftmost rewriting to fixpoint, memoized.
-    The memo maps a word to its normal form as {word: (shift, ints)},
-    Laurent coefficients in s; rules are indexed by their first letter.
+    It is also their reducer: the memo maps a word to its normal form as
+    {word: (shift, ints)}, Laurent coefficients in s.
     """
 
-    __slots__ = ("alphabet", "rules", "completed_degree", "memo",
-                 "_max_len", "_by_first")
+    __slots__ = ("alphabet", "rules", "completed_degree", "memo", "_by_last")
 
     def __init__(self, alphabet, rules, completed_degree=0):
         rules = tuple(rules)
         lhss = [r.lhs for r in rules]
+        inside = {b[i:j]: b for b in lhss for i in range(len(b))
+                  for j in range(i + 1, len(b) + (i > 0))}
         for a in lhss:
-            for b in lhss:
-                if a is not b and _contains(b, a):
-                    raise ValueError("rule set not inter-reduced: %s inside %s"
-                                     % (a, b))
-        by_first = {}
+            if a in inside:
+                raise ValueError("rule set not inter-reduced: %s inside %s"
+                                 % (a, inside[a]))
+            inside[a] = a  # so a repeated lhs is refused too
+        by_last = {}
         for r in rules:
-            by_first.setdefault(r.lhs[0], []).append(
-                (r.lhs, len(r.lhs), _rule_laurent(r)))
+            by_last.setdefault(r.lhs[-1], []).append((r.lhs, -len(r.lhs), _rule_laurent(r)))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "completed_degree", completed_degree)
         object.__setattr__(self, "memo", {(): {(): _L_ONE}})
-        object.__setattr__(self, "_max_len", max(map(len, lhss), default=0))
-        object.__setattr__(self, "_by_first", by_first)
+        object.__setattr__(self, "_by_last", by_last)
 
     def __setattr__(self, *a):
         raise AttributeError("RuleSet is immutable; complete() returns a new one")
@@ -183,49 +189,45 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
-    def _find(self, word, start):
-        """The leftmost rule match at or after start, as (i, len(lhs), rhs)."""
-        by_first = self._by_first
-        for i in range(start, len(word)):
-            for lhs, n, rhs in by_first.get(word[i], ()):
-                if word[i:i + n] == lhs:
-                    return i, n, rhs
-        return None
-
     def word_normal_form(self, word):
-        memo = self.memo
+        """NF(word) as {word: Laurent coefficient}, built from NF(word[:-1])."""
+        memo, by_last = self.memo, self._by_last
         got = memo.get(word)
         if got is not None:
             return got
-        # (word, where a match can start, its match once found)
-        stack = [(word, 0, None)]
+        stack = [(word, None)]  # (word, the words and coefficients it sums, once known)
         while stack:
-            w, start, hit = stack.pop()
-            if w in memo:
-                continue
-            if hit is None:
-                hit = self._find(w, start)
-                if hit is None:
-                    memo[w] = {w: _L_ONE}
+            w, parts = stack.pop()
+            if parts is None:
+                if w in memo:
                     continue
-            i, n, rhs = hit
-            u, v = w[:i], w[i + n:]
-            missing = [t for t in (u + rw + v for rw, _ in rhs) if t not in memo]
-            if missing:
-                stack.append((w, start, hit))
-                # no match starts left of i in w, so none starts left of
-                # i - max_len + 1 in a rewrite of it
-                start = max(0, i - self._max_len + 1)
-                stack.extend((t, start, None) for t in missing)
-                continue
-            if len(rhs) == 1 and rhs[0][1] == _L_ONE:
-                # a plain swap shares its image's normal form
-                memo[w] = memo[u + rhs[0][0] + v]
+                head, a = w[:-1], w[-1:]
+                head_nf = memo.get(head)
+                if head_nf is None:
+                    stack += (w, None), (head, None)
+                    continue
+                if head in head_nf:  # head is normal, so a rule can match only a suffix
+                    for lhs, n, rhs in by_last.get(a[0], ()):
+                        if w[n:] == lhs:
+                            parts = [(w[:n] + rw, c) for rw, c in rhs]
+                            break
+                    else:
+                        memo[w] = {w: _L_ONE}
+                        continue
+                else:
+                    parts = [(u + a, c) for u, c in head_nf.items()]
+                missing = [(t, None) for t, _ in parts if t not in memo]
+                if missing:
+                    stack += [(w, parts)] + missing
+                    continue
+            if len(parts) == 1 and parts[0][1] == _L_ONE:
+                # a plain swap, or a head of one normal word, shares its image
+                memo[w] = memo[parts[0][0]]
                 continue
             out = {}
-            for rw, (rs, rp) in rhs:
-                for w2, (s2, p2) in memo[u + rw + v].items():
-                    _add_into(out, w2, (rs + s2, _pmul(rp, p2)))
+            for t, (cs, cp) in parts:
+                for w2, (s2, p2) in memo[t].items():
+                    _add_into(out, w2, (cs + s2, _pmul(cp, p2)))
             memo[w] = out
         return memo[word]
 
@@ -252,11 +254,6 @@ class RuleSet:
     # the names bench/layertrace.py traces; complete() calls normal_form,
     # so completion steps stay out of the traced rewrite.reduce counters
     reduce = reduce_flagged = normal_form
-
-
-def _contains(hay, needle):
-    n = len(needle)
-    return any(hay[i:i + n] == needle for i in range(len(hay) - n + 1))
 
 
 def _oriented(alphabet: Alphabet, relations) -> RuleSet:
@@ -317,7 +314,8 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
     set completed before; otherwise the result is refused as not
     inter-reduced.  Pairs of degree <= completed_degree are skipped:
     they join only given rules, as every new lhs is longer, and they
-    already resolved.
+    already resolved.  Whichever remainders the working sets give, the
+    result is the truncated reduced basis of the ideal, which is unique.
     """
     if max_degree < 3 and rules.rules:
         raise ValueError("max_degree must be at least 3")
@@ -332,11 +330,11 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
 
     for i in range(len(work)):
         file_pairs(i)
-    reducer = RuleSet(rules.alphabet, work)
+    reducer = _carried(rules.alphabet, work, rules.memo, rules.completed_degree + 1)
     steps = 0
     # a rule added at one degree files its pairs under later ones
-    for pairs in pending[rules.completed_degree + 1:]:
-        for ia, ib, k in pairs:
+    for d in range(rules.completed_degree + 1, max_degree + 1):
+        for ia, ib, k in pending[d]:
             steps += 1
             if steps > MAX_STEPS:
                 raise RuntimeError("completion exceeded the step budget")
@@ -345,7 +343,8 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
             if nf.is_zero:
                 continue
             work.append(orient(nf))
-            reducer = RuleSet(rules.alphabet, work)
+            # the new lhs has length d, so no shorter word contains it
+            reducer = _carried(rules.alphabet, work, reducer.memo, d)
             file_pairs(len(work) - 1)
 
     # tail-reduce right-hand sides against the finished system, which the
@@ -353,7 +352,14 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
     # are smaller words of the same length, so one reducer serves every rule
     tidy = [RewriteRule(r.lhs, reducer.normal_form(r.rhs)) for r in work]
     tidy.sort(key=lambda r: deg_lex_key(r.lhs))
-    return RuleSet(rules.alphabet, tidy, completed_degree=max_degree)
+    return _carried(rules.alphabet, tidy, reducer.memo, max_degree + 1, max_degree)
+
+
+def _carried(alphabet, rules, memo, below, completed_degree=0) -> RuleSet:
+    """A RuleSet of rules whose own memo starts with memo's entries shorter than below."""
+    out = RuleSet(alphabet, rules, completed_degree)
+    out.memo.update((w, nf) for w, nf in memo.items() if len(w) < below)
+    return out
 
 
 def critical_pair_residuals(rules: RuleSet, max_degree: int):

@@ -80,15 +80,9 @@ def _times(a: dict, b: dict, cutoff: int) -> dict:
     return {e: NcPoly._of(pa.alphabet, t) for e, t in terms.items() if t}
 
 
-def _over_common_denominator(series: dict, k):
-    """The series at P_i = q^(k_i), k_i >= 0, as (D, {word: numerator}).
-
-    D is the lcm of the distinct coefficient denominators, which are
-    deduplicated before any gcd is taken; each word's value is its
-    integer polynomial numerator over D, and no sum takes a gcd.
-    """
-    if min(k) < 0:
-        raise ValueError("window exponents must be >= 0")
+def _over_common_denominator(series: dict):
+    """(D, {e: {word: numerator}}), shared by every window: D is the lcm of the
+    distinct coefficient denominators, deduplicated before any gcd is taken."""
     dens = sorted({c.den for p in series.values() for c in p.terms.values()},
                   key=lambda d: (-len(d), d))
     D = (1,)
@@ -98,24 +92,32 @@ def _over_common_denominator(series: dict, k):
         except ArithmeticError:
             D = _pmul(D, _pdivmod_exact(d, _pgcd(D, d)))
     cofactor = {d: _pdivmod_exact(D, d) for d in dens}
+    return D, {e: {w: _pmul(c.num, cofactor[c.den]) for w, c in p.terms.items()}
+               for e, p in series.items()}
+
+
+def _at_window(common, k):
+    """(D, {word: numerator}) at P_i = q^(k_i), k_i >= 0; no sum takes a gcd."""
+    if min(k) < 0:
+        raise ValueError("window exponents must be >= 0")
     nums = {}
-    for e, p in series.items():
+    for e, terms in common[1].items():
         shift = (0,) * (2 * (e[0] * k[0] + e[1] * k[1] + e[2] * k[2]))
-        for w, c in p.terms.items():
-            t = shift + _pmul(c.num, cofactor[c.den])
+        for w, t in terms.items():
+            t = shift + t
             nums[w] = _padd(nums[w], t) if w in nums else t
-    return D, {w: t for w, t in nums.items() if t}
+    return common[0], {w: t for w, t in nums.items() if t}
 
 
 def _at_powers(series: dict, alphabet, k) -> NcPoly:
     """The series at P_i = q^(k_i): the sum of A_e q^<e, k> over e."""
-    D, nums = _over_common_denominator(series, k)
+    D, nums = _at_window(_over_common_denominator(series), k)
     return NcPoly(alphabet, {w: QRat(t, D) for w, t in nums.items()})
 
 
-def _matches_at_powers(series: dict, k, poly: NcPoly) -> bool:
-    """Does the series at P_i = q^(k_i) equal poly?  Cross-multiplied, no gcd."""
-    D, nums = _over_common_denominator(series, k)
+def _matches_at_powers(common, k, poly: NcPoly) -> bool:
+    """Does the series over D at P_i = q^(k_i) equal poly?  Cross-multiplied, no gcd."""
+    D, nums = _at_window(common, k)
     return nums.keys() == poly.terms.keys() and all(
         _pmul(nums[w], c.den) == _pmul(c.num, D) for w, c in poly.terms.items())
 
@@ -179,10 +181,11 @@ def check_ayb_formal(v, n: int = 1, cutoff: int = 4) -> VerificationReport:
 
     # integer windows reproduce the finite products before truncation
     integer_ok = True
+    over_lhs, over_rhs = map(_over_common_denominator, (lhs, rhs))
     for window in ((2, 1, 0), (3, 2, 1), (3, 1, 0)):
         plhs, prhs = ayb_sides(alphabet, n, *window)
-        if not (_matches_at_powers(lhs, window, _truncated(plhs, cutoff))
-                and _matches_at_powers(rhs, window, _truncated(prhs, cutoff))):
+        if not (_matches_at_powers(over_lhs, window, _truncated(plhs, cutoff))
+                and _matches_at_powers(over_rhs, window, _truncated(prhs, cutoff))):
             integer_ok = False
             break
     notes.append("integer-window specialization consistency checked")

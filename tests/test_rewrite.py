@@ -1,3 +1,4 @@
+import functools
 import itertools
 import pathlib
 import random
@@ -8,16 +9,19 @@ from hypothesis import given, settings, strategies as st
 import qserre.rewrite as rewrite_module
 from qserre.qfield import ONE, Q, QRat, S
 from qserre.freealg import (
-    NcPoly, deg_lex_key, serre_braiding, serre_relations, x_alphabet,
+    NcPoly, SpectralWindow, big_Q, deg_lex_key, serre_braiding, serre_relations,
+    x_alphabet,
 )
 from qserre.rewrite import (
     RewriteRule, RuleSet, base_rules, chi_e_rules,
     complete, critical_pair_residuals, dump_rules, normal_word_counts, orient,
 )
 from qserre.verify import Verifier
+from reference_rewrite import LeftmostReducer
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
+A4 = x_alphabet(4)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -234,6 +238,8 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         RuleSet(A2, [orient(x2 * x1 - x1 * x2),
                      orient(x2 * x1 * x1 - x1 * x1 * x2)])
+    with pytest.raises(ValueError, match="not inter-reduced"):
+        RuleSet(A2, [orient(x2 * x1 - x1 * x2)] * 2)  # a repeated lhs
 
 
 def test_order_concatenation_compatible():
@@ -364,3 +370,76 @@ def test_memo_holds_laurent_coefficients_after_a_qq_reduction():
             assert type(shift) is int and type(ints) is tuple
             assert ints[0] and ints[-1]  # trimmed at both ends
             assert all(type(n) is int for n in ints)
+
+
+# -- the prefix reducer against the leftmost reference, and the carried memo ----
+
+@functools.lru_cache(maxsize=None)
+def _completed(name):
+    """Completed sets by name; "resumed" is x rank 4 completed to 6, then to 9."""
+    if name == "resumed":
+        return complete(complete(base_rules(4), 6), 9)
+    family, rank = name[:-1], int(name[-1])
+    return complete((base_rules if family == "x" else chi_e_rules)(rank), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_reducer_matches_the_leftmost_reference(data):
+    rules = _completed(data.draw(st.sampled_from(
+        ["x2", "x3", "x4", "chi-e2", "chi-e3", "resumed"])))
+    n = len(rules.alphabet)
+    letters = st.lists(st.integers(0, n - 1), max_size=rules.completed_degree)
+    words = data.draw(st.lists(letters, min_size=1, max_size=4))
+    reference = LeftmostReducer(rules)
+    cold = RuleSet(rules.alphabet, rules.rules, rules.completed_degree)
+    for w in map(tuple, words):
+        want = reference.word_normal_form(w)
+        # the completed set's memo is warm from completion; a fresh one is cold
+        assert rules.word_normal_form(w) == want
+        assert cold.word_normal_form(w) == want
+
+
+def _frozen(memo):
+    return {w: dict(nf) for w, nf in memo.items()}
+
+
+def test_completion_carries_the_memo_without_sharing_it():
+    # x rank 4 has overlaps of degree 9, so the resumed completion reduces
+    rs8 = complete(base_rules(4), 8)
+    # remainders of length 9 and 10, beyond rs8's degree
+    rs8.reduce(NcPoly.monomial(A4, (3, 2, 1) * 3)
+               + NcPoly.monomial(A4, (3, 2, 1, 0, 1) * 2))
+    before = _frozen(rs8.memo)
+    rs9 = complete(rs8, 9)
+    assert rs9.memo is not rs8.memo
+    assert _frozen(rs8.memo) == before
+    assert len(rs9.memo) > 1
+    for rs in (rs8, rs9):
+        cold = RuleSet(rs.alphabet, rs.rules, rs.completed_degree)
+        for w, nf in rs.memo.items():
+            assert nf == cold.word_normal_form(w), w
+
+
+def _qq_difference(rank):
+    """The qq (2,1,0) difference, as Verifier.check_qq(2, 1, 0) builds it."""
+    a = x_alphabet(rank)
+    qa = big_Q(a, rank, SpectralWindow(2, 0))
+    qb = big_Q(a, rank, SpectralWindow(1, 0))
+    return qa * qb - qb * qa
+
+
+def test_cold_rank4_qq_reduction_stays_small():
+    # a count, not a timing: the prefix reducer visits 11,828 words here,
+    # leftmost-first rewriting 41,728
+    diff = _qq_difference(4)
+    done = complete(base_rules(4), diff.degree)
+    cold = RuleSet(A4, done.rules, done.completed_degree)
+    assert cold.reduce(diff).is_zero
+    assert len(cold.memo) <= 15000
+
+
+@pytest.mark.slow
+def test_rank5_qq_reduces_to_zero_by_rewriting():
+    diff = _qq_difference(5)
+    assert complete(base_rules(5), diff.degree).reduce(diff).is_zero

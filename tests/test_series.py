@@ -228,9 +228,7 @@ def test_integer_windows_catch_a_numerator_that_keeps_every_denominator(
 
     lhs, _ = real(A2, 1, 4)
     bad, _ = perturbed(A2, 1, 4)
-    for window in ((2, 1, 0), (3, 2, 1), (3, 1, 0)):
-        assert (_over_common_denominator(bad, window)[0]
-                == _over_common_denominator(lhs, window)[0])
+    assert _over_common_denominator(bad)[0] == _over_common_denominator(lhs)[0]
     monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
     r = check_ayb_formal(v2, 1, 4)
     assert not r.passed
