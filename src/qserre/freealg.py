@@ -5,8 +5,9 @@ sparse maps word -> coefficient, added and multiplied only by add_terms
 and mul_terms.  The constructors at the bottom build the finite
 q-products, the k and c elements, the ordered Q-operator products and
 the two sides of the braid-type exchange relation exactly as free-algebra
-elements, before any relations are imposed; x_relations writes the
-x-family relations on any images of the generators.
+elements, before any relations are imposed.  A presentation is its
+braiding chi alone: braided_relations writes the defining relations
+that chi gives, on the generators or on any images of them.
 """
 
 from __future__ import annotations
@@ -368,75 +369,8 @@ def ayb_sides(alphabet: Alphabet, n: int, lam: int, mu: int, nu: int):
 
 
 # ---------------------------------------------------------------------------
-# defining relations (the input both the rewriter and the oracle start from)
-# ---------------------------------------------------------------------------
-
-def x_relations(gens) -> list:
-    """(params, relation) pairs of the x-family on gens, images of x_1..x_r.
-
-    "serre1" a a b + b a a q - a b a (1+q) and "serre2" a b b + b b a q
-    - b a b (1+q) for (a, b) = (x_n, x_{n+1}); "distant" x_m x_n - x_n x_m.
-    """
-    q1 = q_power(1)
-    out = []
-    for n in range(1, len(gens)):
-        a, b = gens[n - 1], gens[n]
-        out.append(((("family", "serre1"), ("n", n)), a * a * b
-                    + (b * a * a).scale(q1) - (a * b * a).scale(ONE + q1)))
-        out.append(((("family", "serre2"), ("n", n)), a * b * b
-                    + (b * b * a).scale(q1) - (b * a * b).scale(ONE + q1)))
-    for m in range(3, len(gens) + 1):
-        for n in range(1, m - 1):
-            xm, xn = gens[m - 1], gens[n - 1]
-            out.append(((("family", "distant"), ("m", m), ("n", n)),
-                        xm * xn - xn * xm))
-    return out
-
-
-def serre_relations(alphabet: Alphabet) -> list:
-    """x_relations on the generators x_1..x_r themselves."""
-    return [rel for _, rel in x_relations(
-        [NcPoly.generator(alphabet, "x%d" % n)
-         for n in range(1, len(alphabet) + 1)])]
-
-
-def chi_e_relations(alphabet: Alphabet) -> list:
-    """Defining relations of the quantum-coordinate realization.
-
-    e-family: the cubic relations with coefficient q^(1/2) + q^(-1/2) and
-    distant commutation; chi-family: adjacent reordering with a q^(1/2)
-    and distant commutation; every chi commutes with every e.
-    """
-    rank = len(alphabet) // 2
-    rels = []
-    coeff = s_power(1) + s_power(-1)
-    for n in range(1, rank):
-        a = NcPoly.generator(alphabet, "e%d" % n)
-        b = NcPoly.generator(alphabet, "e%d" % (n + 1))
-        rels.append(a * a * b + b * a * a - (a * b * a).scale(coeff))
-        rels.append(a * b * b + b * b * a - (b * a * b).scale(coeff))
-        lo = NcPoly.generator(alphabet, "chi%d" % n)
-        hi = NcPoly.generator(alphabet, "chi%d" % (n + 1))
-        rels.append(lo * hi - (hi * lo).scale(s_power(1)))
-    for m in range(3, rank + 1):
-        for n in range(1, m - 1):
-            em = NcPoly.generator(alphabet, "e%d" % m)
-            en = NcPoly.generator(alphabet, "e%d" % n)
-            rels.append(em * en - en * em)
-            cm = NcPoly.generator(alphabet, "chi%d" % m)
-            cn = NcPoly.generator(alphabet, "chi%d" % n)
-            rels.append(cm * cn - cn * cm)
-    for m in range(1, rank + 1):
-        for n in range(1, rank + 1):
-            em = NcPoly.generator(alphabet, "e%d" % m)
-            cn = NcPoly.generator(alphabet, "chi%d" % n)
-            rels.append(em * cn - cn * em)
-    return rels
-
-
-# ---------------------------------------------------------------------------
-# braidings: the diagonal-type character chi whose quantum symmetrizer has
-# the ideal of the relations above as its kernel
+# presentations: a diagonal braiding chi, as s-exponents, and the defining
+# relations it gives, which both the rewriter and the oracle start from
 # ---------------------------------------------------------------------------
 
 def serre_braiding(alphabet: Alphabet) -> tuple:
@@ -453,18 +387,48 @@ def serre_braiding(alphabet: Alphabet) -> tuple:
 def chi_e_braiding(alphabet: Alphabet) -> tuple:
     """chi for the quantum-coordinate realization, as in serre_braiding.
 
-    e-family: chi(e_i, e_i) = q and chi(e_i, e_{i+-1}) = s^-1; chi-family:
-    chi(chi_i, chi_{i+1}) = s and chi(chi_{i+1}, chi_i) = s^-1; 1 for
-    every other pair, among them every chi with every e.
+    The x braiding split in two halves whose product it is, so that
+    y_n = chi_n e_n braids as x_n: the antisymmetric half on the chi's,
+    chi(chi_i, chi_{i+1}) = s and chi(chi_{i+1}, chi_i) = s^-1, the
+    symmetric half on the e's, chi(e_i, e_i) = q and chi(e_i, e_{i+-1}) =
+    s^-1, and 1 for every chi with every e.
     """
     rank = len(alphabet) // 2
+    x = serre_braiding(x_alphabet(rank))
+    chi = [[(x[u][a] - x[a][u]) // 2 for a in range(rank)] + [0] * rank
+           for u in range(rank)]
+    chi += [[0] * rank + [(x[u][a] + x[a][u]) // 2 for a in range(rank)]
+            for u in range(rank)]
+    return tuple(map(tuple, chi))
 
-    def exponent(u, a):
-        if u >= rank and a >= rank:
-            return {0: 2, 1: -1, -1: -1}.get(u - a, 0)
-        if u < rank and a < rank:
-            return {-1: 1, 1: -1}.get(u - a, 0)
-        return 0
 
-    return tuple(tuple(exponent(u, a) for a in range(2 * rank))
-                 for u in range(2 * rank))
+def braided_relations(gens, chi) -> list:
+    """(params, relation) pairs that chi defines on gens, its letters' images.
+
+    At generic q the quantum Serre relations of a Cartan-type chi generate
+    the kernel of its quantum symmetrizer, the ideal the oracle decides.
+    A pair i < j with chi(i, j) chi(j, i) = 1 gives "distant", x_j x_i -
+    chi(j, i) x_i x_j; one with chi(i, j) chi(j, i) = chi(i, i)^-1 =
+    chi(j, j)^-1 gives "serre1" and "serre2", u u v - (1 + chi(u, u))
+    chi(u, v) u v u + chi(u, u) chi(u, v)^2 v u u for (u, v) = (x_i, x_j)
+    and (x_j, x_i); any other is a ValueError.  Cubic pairs come first,
+    each kind ordered by (j, i); every label carries n = i + 1, and a
+    commutator's m = j + 1 as well.
+    """
+    cubic, commuting = [], []
+    for j, b in enumerate(gens):
+        for i, a in enumerate(gens[:j]):
+            both = chi[i][j] + chi[j][i]
+            if both == 0:
+                commuting.append(((("family", "distant"), ("m", j + 1), ("n", i + 1)),
+                                  b * a - (a * b).scale(s_power(chi[j][i]))))
+            elif both == -chi[i][i] == -chi[j][j]:
+                for family, u, v, uu, uv in (("serre1", a, b, chi[i][i], chi[i][j]),
+                                             ("serre2", b, a, chi[j][j], chi[j][i])):
+                    cubic.append(((("family", family), ("n", i + 1)), u * u * v
+                                  - (u * v * u).scale((ONE + s_power(uu)) * s_power(uv))
+                                  + (v * u * u).scale(s_power(uu + 2 * uv))))
+            else:
+                raise ValueError("chi on %s and %s gives neither a commutator "
+                                 "nor the cubic Serre relations" % (a, b))
+    return cubic + commuting

@@ -166,8 +166,9 @@ class IdealOracle:
     """Membership in the ideal of one presentation, decided by Phi.
 
     braiding is the function that builds the presentation's chi table
-    from the alphabet (freealg.serre_braiding, chi_e_braiding).  The
-    relations are not an input: Phi of the braiding determines the ideal.
+    from the alphabet (freealg.serre_braiding, chi_e_braiding), the same
+    one rewrite.braided_rules writes the relations from.  The relations
+    are not an input: Phi of the braiding determines the ideal.
     """
 
     def __init__(self, alphabet: Alphabet, braiding):

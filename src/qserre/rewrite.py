@@ -1,10 +1,12 @@
 """Degree-bounded completion and normal forms for the defining ideals.
 
 Rules rewrite a leading word to a combination of deg-lex smaller words.
-Every defining relation is homogeneous, so completion is one pass over
-the degrees up to the requested one, and it gives a rewriting system
-confluent within that degree.  No given lhs may be longer than the
-lowest degree resolved, so no new rule displaces an old one.
+The raw rules are the oriented relations that a presentation's braiding
+defines (braided_rules).  Every defining relation is homogeneous, so
+completion is one pass over the degrees up to the requested one, and it
+gives a rewriting system confluent within that degree.  No given lhs may
+be longer than the lowest degree resolved, so no new rule displaces an
+old one.
 
 A RuleSet is its own reducer, memoized per word.  It builds NF(w) as
 NF(NF(w[:-1]) w[-1]): up to the completed degree NF(w) is the unique
@@ -38,8 +40,8 @@ every output coefficient share it, and each would take a gcd against it.
 from __future__ import annotations
 
 from qserre.freealg import (
-    Alphabet, NcPoly, add_terms, chi_e_alphabet, chi_e_relations,
-    deg_lex_key, serre_relations, x_alphabet,
+    Alphabet, NcPoly, add_terms, braided_relations, chi_e_alphabet,
+    chi_e_braiding, deg_lex_key, serre_braiding, x_alphabet,
 )
 from qserre.qfield import QRat, _pmul
 
@@ -256,20 +258,19 @@ class RuleSet:
     reduce = reduce_flagged = normal_form
 
 
-def _oriented(alphabet: Alphabet, relations) -> RuleSet:
-    return RuleSet(alphabet, [orient(rel) for rel in relations])
+def braided_rules(alphabet: Alphabet, braiding) -> RuleSet:
+    """The oriented relations that braiding(alphabet) defines, not yet completed."""
+    gens = [NcPoly.monomial(alphabet, (i,)) for i in range(len(alphabet))]
+    return RuleSet(alphabet, [orient(rel) for _, rel
+                              in braided_relations(gens, braiding(alphabet))])
 
 
 def base_rules(rank: int) -> RuleSet:
-    """Oriented defining rules of the rank-r presentation (not yet completed)."""
-    alphabet = x_alphabet(rank)
-    return _oriented(alphabet, serre_relations(alphabet))
+    return braided_rules(x_alphabet(rank), serre_braiding)
 
 
 def chi_e_rules(rank: int) -> RuleSet:
-    """Oriented rules of the quantum-coordinate presentation."""
-    alphabet = chi_e_alphabet(rank)
-    return _oriented(alphabet, chi_e_relations(alphabet))
+    return braided_rules(chi_e_alphabet(rank), chi_e_braiding)
 
 
 def _critical_pairs(rules, i, max_degree):

@@ -7,8 +7,9 @@ which applies the quantum symmetrizer to every slice.  The two decision
 paths must agree; a disagreement is an engine bug and raises instead of
 reporting.
 
-Decider is that decision core for any presentation.  Verifier holds the
-x checks, and ChiEVerifier the x-relation families on y_n = chi_n e_n.
+Decider is that decision core for any presentation, named by its
+alphabet and braiding.  Verifier holds the x checks, and ChiEVerifier
+the x-relation families on y_n = chi_n e_n.
 
 Telescoping and factor commutativity hold in the free algebra itself and
 are checked by plain expansion, with no ideal involved.
@@ -20,13 +21,13 @@ import time
 from collections import namedtuple
 
 from qserre.freealg import (
-    NcPoly, SpectralWindow, ayb_sides, big_Q, c_element, chi_e_alphabet,
-    chi_e_braiding, k_element, lemma_product, qproduct, serre_braiding,
-    x_alphabet, x_relations,
+    NcPoly, SpectralWindow, ayb_sides, big_Q, braided_relations, c_element,
+    chi_e_alphabet, chi_e_braiding, k_element, lemma_product, qproduct,
+    serre_braiding, x_alphabet,
 )
 from qserre.oracle import IdealOracle, randomized_precheck
 from qserre.qfield import q_power
-from qserre.rewrite import RuleSet, base_rules, chi_e_rules, complete
+from qserre.rewrite import RuleSet, braided_rules, complete
 
 
 class MethodDisagreement(RuntimeError):
@@ -58,12 +59,13 @@ class VerificationReport(namedtuple(
 class Decider:
     """Membership in the defining ideal of one presentation at one rank.
 
-    A subclass names the presentation: alphabet_for, braiding_for and
-    raw_rules.  Completion and the oracle are built lazily on first use
-    and keep memo tables that later decisions reuse, so one instance
-    serves its checks one after another.  The rule set is completed to
-    max(8, the largest degree reduced so far), so every rewriting
-    verdict is canonical.
+    A subclass names the presentation by alphabet_for and braiding_for
+    alone: the rules are completed from the relations that the braiding
+    defines, and the oracle applies its quantum symmetrizer.  Completion
+    and the oracle are built lazily on first use and keep memo tables
+    that later decisions reuse, so one instance serves its checks one
+    after another.  The rule set is completed to max(8, the largest
+    degree reduced so far), so every rewriting verdict is canonical.
     """
 
     def __init__(self, rank: int, mode: str = "both"):
@@ -93,7 +95,8 @@ class Decider:
         """
         degree = max(8, degree)
         if self._rules is None or degree > self._rules.completed_degree:
-            given = self.raw_rules(self.rank) if self._rules is None else self._rules
+            given = (braided_rules(self.alphabet, self.braiding_for)
+                     if self._rules is None else self._rules)
             self._rules = complete(given, degree)
         return self._rules
 
@@ -155,7 +158,6 @@ class Verifier(Decider):
 
     alphabet_for = staticmethod(x_alphabet)
     braiding_for = staticmethod(serre_braiding)
-    raw_rules = staticmethod(base_rules)
 
     # the name bench/layertrace.py traces, bound in this class's own dict
     decide = Decider.decide
@@ -259,17 +261,17 @@ class ChiEVerifier(Decider):
 
     alphabet_for = staticmethod(chi_e_alphabet)
     braiding_for = staticmethod(chi_e_braiding)
-    raw_rules = staticmethod(chi_e_rules)
 
     def _decide(self, params, diff):
         return self.decide("chie", params, diff, (_CHI_E_NOTE,))
 
     def family_reports(self):
-        """One report per relation family instance, as x_relations lists them."""
+        """One report per x-family relation, written by the x braiding on the y_n."""
         ys = [NcPoly.generator(self.alphabet, "chi%d" % n)
               * NcPoly.generator(self.alphabet, "e%d" % n)
               for n in range(1, self.rank + 1)]
-        return [self._decide(params, rel) for params, rel in x_relations(ys)]
+        chi = serre_braiding(x_alphabet(self.rank))
+        return [self._decide(params, rel) for params, rel in braided_relations(ys, chi)]
 
 
 def _combined(identity, params, reports, t0, notes=()):

@@ -6,7 +6,9 @@ a finite linear-algebra question over Q(s), split into multidegree
 blocks.  The package decides by the quantum symmetrizer instead
 (qserre.oracle); this route reads the relations themselves, so the tests
 use it to check Phi, to count quotient dimensions and to see mutant
-relation lists fail.
+relation lists fail.  The relations it reads for the two presentations
+are written out below in their textbook form, not derived from a
+braiding, so it stays independent of freealg.braided_relations.
 
 Elimination is fraction-free over Z[s]: coefficients stay integer
 polynomials, with no Q(s) division.  A vector being reduced sheds only
@@ -16,10 +18,11 @@ takes gcds, comes out once, when a row is stored.
 
 from math import factorial, gcd as _int_gcd
 
+from qserre.freealg import NcPoly
 from qserre.oracle import _content, split_homogeneous
 from qserre.qfield import (
-    _content as _int_content, _padd, _pdivmod_exact, _pgcd, _pmul, _pneg,
-    _primitive,
+    ONE, _content as _int_content, _padd, _pdivmod_exact, _pgcd, _pmul,
+    _pneg, _primitive, q_power, s_power,
 )
 
 
@@ -219,3 +222,49 @@ class ReferenceOracle:
 
     def quotient_dimensions(self, d_max: int):
         return [self.quotient_dimension(d) for d in range(d_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the defining relations of the A chain, written out
+# ---------------------------------------------------------------------------
+
+def serre_relations(alphabet):
+    """The q-Serre relations of x_1..x_r, in the order of CUBIC and DISTANT.
+
+    a a b + q b a a - (1+q) a b a and a b b + q b b a - (1+q) b a b for
+    (a, b) = (x_n, x_{n+1}), then x_m x_n - x_n x_m for m >= n + 2.
+    """
+    x = [NcPoly.generator(alphabet, name) for name in alphabet.letters]
+    q1 = q_power(1)
+    rels = []
+    for a, b in zip(x, x[1:]):
+        rels.append(a * a * b + (b * a * a).scale(q1) - (a * b * a).scale(ONE + q1))
+        rels.append(a * b * b + (b * b * a).scale(q1) - (b * a * b).scale(ONE + q1))
+    rels += [x[m] * x[n] - x[n] * x[m]
+             for m in range(len(x)) for n in range(m - 1)]
+    return rels
+
+
+def chi_e_relations(alphabet):
+    """The quantum-coordinate relations, in the order of CHI_E2.
+
+    Per adjacent pair, the e cubics with coefficient q^(1/2) + q^(-1/2)
+    and chi_n chi_{n+1} - s chi_{n+1} chi_n; then distant e's and distant
+    chi's commute, and every e commutes with every chi.
+    """
+    rank = len(alphabet) // 2
+    chi = [NcPoly.generator(alphabet, "chi%d" % n) for n in range(1, rank + 1)]
+    e = [NcPoly.generator(alphabet, "e%d" % n) for n in range(1, rank + 1)]
+    coeff = s_power(1) + s_power(-1)
+    rels = []
+    for n in range(rank - 1):
+        a, b = e[n], e[n + 1]
+        rels.append(a * a * b + b * a * a - (a * b * a).scale(coeff))
+        rels.append(a * b * b + b * b * a - (b * a * b).scale(coeff))
+        rels.append(chi[n] * chi[n + 1] - (chi[n + 1] * chi[n]).scale(s_power(1)))
+    for m in range(rank):
+        for n in range(m - 1):
+            rels.append(e[m] * e[n] - e[n] * e[m])
+            rels.append(chi[m] * chi[n] - chi[n] * chi[m])
+    rels += [em * cn - cn * em for em in e for cn in chi]
+    return rels

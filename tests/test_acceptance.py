@@ -10,12 +10,12 @@ import random
 import pytest
 
 from qserre.qfield import ONE, Q, QRat
-from qserre.freealg import NcPoly, serre_relations
+from qserre.freealg import NcPoly
 from qserre.rewrite import chi_e_rules, complete, critical_pair_residuals, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import ChiEVerifier, Verifier, descending_triples, qq_windows
 from pbw_reference import pbw_series
-from reference_echelon import ReferenceOracle
+from reference_echelon import ReferenceOracle, serre_relations
 
 COMPLETION = {2: 10, 3: 9}  # the largest degree of a pinned qq window
 CHIE_COMPLETION = 6

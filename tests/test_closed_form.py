@@ -3,10 +3,11 @@
 import pytest
 
 from pbw_reference import kostant_count, pbw_series, positive_roots
-from reference_echelon import ReferenceOracle, _compositions, _perm_count
-from qserre.freealg import (
-    chi_e_alphabet, chi_e_relations, serre_relations, x_alphabet,
+from reference_echelon import (
+    ReferenceOracle, _compositions, _perm_count, chi_e_relations,
+    serre_relations,
 )
+from qserre.freealg import chi_e_alphabet, x_alphabet
 from qserre.rewrite import base_rules, chi_e_rules, complete, normal_word_counts
 
 

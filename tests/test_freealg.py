@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from qserre.qfield import ONE, Q, QRat, ZERO, q_power
+from qserre.qfield import ONE, Q, QRat, S, ZERO, q_power
 from qserre.freealg import (
-    NcPoly, SpectralWindow, add_terms, ayb_sides, big_Q, c_element,
-    chi_e_alphabet, k_element, lemma_product, mul_terms, qproduct,
-    serre_relations, x_alphabet, x_relations,
+    NcPoly, SpectralWindow, add_terms, ayb_sides, big_Q, braided_relations,
+    c_element, chi_e_alphabet, chi_e_braiding, k_element, lemma_product,
+    mul_terms, qproduct, serre_braiding, x_alphabet,
 )
+from reference_echelon import chi_e_relations, serre_relations
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
@@ -148,11 +149,17 @@ def test_ayb_sides_nontrivial():
         ayb_sides(A2, 1, 0, 1, 0)
 
 
+def written(alphabet, braiding):
+    """The (params, relation) pairs that braiding defines on the generators."""
+    return braided_relations([gen(alphabet, name) for name in alphabet.letters],
+                             braiding(alphabet))
+
+
 def test_serre_relations_shape():
-    assert len(serre_relations(A2)) == 2
-    assert len(serre_relations(A3)) == 5
-    assert len(serre_relations(x_alphabet(1))) == 0
-    for rel in serre_relations(A3):
+    assert len(written(A2, serre_braiding)) == 2
+    assert len(written(A3, serre_braiding)) == 5
+    assert len(written(x_alphabet(1), serre_braiding)) == 0
+    for _, rel in written(A3, serre_braiding):
         degs = {len(w) for w in rel.terms}
         assert len(degs) == 1  # homogeneous
 
@@ -248,15 +255,87 @@ DISTANT = (  # m, n and the commutator x_m x_n - x_n x_m
 )
 
 
+# the chi-e relations at rank 2, written out: letters chi1, chi2, e1, e2
+S1 = S + ONE / S  # q^(1/2) + q^(-1/2)
+CHI_E2 = (
+    {(2, 2, 3): ONE, (3, 2, 2): ONE, (2, 3, 2): -S1},
+    {(2, 3, 3): ONE, (3, 3, 2): ONE, (3, 2, 3): -S1},
+    {(0, 1): ONE, (1, 0): -S},
+    {(2, 0): ONE, (0, 2): -ONE},
+    {(2, 1): ONE, (1, 2): -ONE},
+    {(3, 0): ONE, (0, 3): -ONE},
+    {(3, 1): ONE, (1, 3): -ONE},
+)
+
+
+def written_out_x(rank):
+    """CUBIC and DISTANT up to the rank, as labelled term maps in order."""
+    out = []
+    for n, serre1, serre2 in CUBIC[:rank - 1]:
+        out += [((("family", "serre1"), ("n", n)), serre1),
+                ((("family", "serre2"), ("n", n)), serre2)]
+    out += [((("family", "distant"), ("m", m), ("n", n)), rel)
+            for m, n, rel in DISTANT if m <= rank]
+    return out
+
+
+def proportional(p, terms):
+    """Is p a nonzero scalar times the term map?"""
+    if p.terms.keys() != terms.keys():
+        return False
+    w = next(iter(terms))
+    c = p.terms[w] / terms[w]
+    return all(p.terms[u] == c * t for u, t in terms.items())
+
+
+def x_pin_holds(rank, braiding):
+    """Does the writer give CUBIC and DISTANT, each relation up to a scalar?
+
+    The labels must match exactly, in the same order.
+    """
+    got, want = written(x_alphabet(rank), braiding), written_out_x(rank)
+    return len(got) == len(want) and all(
+        label == want_label and proportional(rel, terms)
+        for (label, rel), (want_label, terms) in zip(got, want))
+
+
+def transposed_serre_braiding(alphabet):
+    # chi(x_n, x_{n+1}) = q^-1 in place of chi(x_{n+1}, x_n) = q^-1
+    return tuple(zip(*serre_braiding(alphabet)))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_serre_relations_are_the_written_out_list(rank):
-    want = [rel for n, *pair in CUBIC if n < rank for rel in pair]
-    want += [rel for m, n, rel in DISTANT if m <= rank]
-    assert [r.terms for r in serre_relations(x_alphabet(rank))] == want
-    labels = [p for n, *_ in CUBIC if n < rank
-              for p in ((("family", "serre1"), ("n", n)),
-                        (("family", "serre2"), ("n", n)))]
-    labels += [(("family", "distant"), ("m", m), ("n", n))
-               for m, n, _ in DISTANT if m <= rank]
-    gens = [gen(x_alphabet(rank), "x%d" % i) for i in range(1, rank + 1)]
-    assert [p for p, _ in x_relations(gens)] == labels
+    # the writer gives serre2 as q^-1 times the written form; the ideal
+    # depends only on the span
+    assert x_pin_holds(rank, serre_braiding)
+    # the echelon reference reads the written-out relations themselves
+    assert ([r.terms for r in serre_relations(x_alphabet(rank))]
+            == [terms for _, terms in written_out_x(rank)])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_a_transposed_x_braiding_fails_the_written_out_list(rank):
+    # mutation control for the pin: every cubic relation changes
+    assert not x_pin_holds(rank, transposed_serre_braiding)
+
+
+def test_chi_e_relations_are_the_written_out_list():
+    # as sets: each written relation is a scalar times exactly one of CHI_E2
+    a = chi_e_alphabet(2)
+    got = [rel for _, rel in written(a, chi_e_braiding)]
+    matches = [[i for i, terms in enumerate(CHI_E2) if proportional(rel, terms)]
+               for rel in got]
+    assert len(got) == len(CHI_E2)
+    assert sorted(i for m in matches for i in m) == list(range(len(CHI_E2)))
+    assert [r.terms for r in chi_e_relations(a)] == list(CHI_E2)
+
+
+@pytest.mark.parametrize("chi", [
+    ((2, 0), (-4, 2)),  # Cartan entry -2: chi(1, 2) chi(2, 1) = q^-2
+    ((4, 0), (-2, 2)),  # chi(1, 2) chi(2, 1) = chi(2, 2)^-1 but not chi(1, 1)^-1
+    ((2, 1), (0, 2)),   # chi(1, 2) chi(2, 1) = s
+])
+def test_a_pair_of_neither_kind_is_refused(chi):
+    with pytest.raises(ValueError, match="chi on x1 and x2 gives neither"):
+        braided_relations([gen(A2, "x1"), gen(A2, "x2")], chi)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 import qserre.oracle as oracle_module
 from qserre.qfield import ONE, Q, S, QRat, _content, _pgcd, q_power
 from qserre.freealg import (
-    NcPoly, chi_e_alphabet, chi_e_braiding, chi_e_relations, serre_braiding,
-    serre_relations, x_alphabet,
+    NcPoly, chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet,
 )
 from qserre.oracle import (
     DISTINCT_POINTS, IdealOracle, random_points, randomized_precheck,
@@ -16,7 +15,7 @@ from qserre.oracle import (
 )
 from reference_echelon import (
     ReferenceOracle, _Echelon, _clear_denominators, _compositions,
-    _multiset_words, _perm_count,
+    _multiset_words, _perm_count, chi_e_relations, serre_relations,
 )
 
 A2 = x_alphabet(2)

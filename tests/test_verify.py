@@ -1,16 +1,16 @@
+import itertools
+
 import pytest
 
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, QRat, q_power
-from qserre.freealg import (
-    NcPoly, SpectralWindow, chi_e_relations, qproduct, serre_relations,
-    x_alphabet,
-)
+from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
 from qserre.rewrite import base_rules, complete, dump_rules
 from qserre.verify import (
     ChiEVerifier, Decider, Verifier, descending_triples, qq_windows,
 )
+from reference_echelon import ReferenceOracle, chi_e_relations, serre_relations
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,31 @@ def test_qq_rank2(v2):
 
 def test_qq_rank3(v3):
     assert v3.check_qq(2, 1, 0).passed
+
+
+@pytest.mark.parametrize("mode", ["oracle", "rewrite"])
+def test_only_the_descending_qq_order_commutes(mode):
+    # the order control: of the six orders of the rank-3 product, only
+    # x3 x2 x1, the order big_Q and so check_qq take, commutes
+    v = Verifier(3, mode)
+    windows = ((2, 1, 0), (3, 2, 1))
+
+    def product(order, lam, nu):
+        out = NcPoly.unit(v.alphabet)
+        for i in order:
+            out = out * qproduct(v.alphabet, "x%d" % i, SpectralWindow(lam, nu))
+        return out
+
+    commuting = []
+    for order in itertools.permutations((1, 2, 3)):
+        for lam, mu, nu in windows:
+            a, b = product(order, lam, nu), product(order, mu, nu)
+            if not v.decide("qq-order", (("order", order),), a * b - b * a).passed:
+                break
+        else:
+            commuting.append(order)
+    assert commuting == [(3, 2, 1)]
+    assert all(v.check_qq(*w).passed for w in windows)
 
 
 def test_qq_window_validation(v2):
@@ -262,8 +287,6 @@ def test_mutant_qproduct_power_fails(v2):
 
 def test_mutant_serre_coefficient_fails():
     # a presentation with (1+q) replaced by 2q is not satisfied by the suite
-    from qserre.freealg import serre_relations
-    from reference_echelon import ReferenceOracle
     a = x_alphabet(2)
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     mutant = [x1 * x1 * x2 + (x2 * x1 * x1).scale(q_power(1))
