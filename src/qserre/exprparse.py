@@ -58,7 +58,8 @@ def _tokenize(text):
 # Caps on what a text may expand to, each checked before the value is
 # built, so that bad input ends in a ParseError rather than 10^9 loop
 # steps or exhausted memory.  The tests and the bench queries reach at
-# most an exponent of 9, a window integer of 3 and a 16-term product.
+# most an exponent of 9, a window integer of 3, a 16-term product and
+# parentheses nested 6 deep.
 #
 # exponents and window integers count factors multiplied one by one:
 # P(x1; 0, 32) takes 0.08 s and Q(32) at rank 2 6 s, P(x1; 0, 64) 2 s
@@ -69,6 +70,9 @@ MAX_TERMS = 10_000
 # a power multiplies the length of its base's longest word or coefficient
 # tuple by the exponent, so nested powers grow geometrically in the text
 MAX_WIDTH = 1024
+# parentheses nest by recursion, four frames a level, and Python's stack
+# runs out at about 250 levels
+MAX_DEPTH = 100
 
 
 def _product(a, b, pos):
@@ -90,7 +94,7 @@ def _divide(p, r, pos):
 class _Parser:
     def __init__(self, text, alphabet: Alphabet, rank=None):
         self.tokens = _tokenize(text)
-        self.i = 0
+        self.i = self.depth = 0
         self.alphabet = alphabet
         self.rank = rank if rank is not None else len(alphabet.letters)
 
@@ -169,8 +173,13 @@ class _Parser:
             n = int(tok)
             return {(): ONE if n == 1 else QRat(n)} if n else {}
         if k == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError("a nesting depth of %d passes the cap of %d"
+                                 % (MAX_DEPTH + 1, MAX_DEPTH), pos)
+            self.depth += 1
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         if k == "name":
             if tok == "q":

@@ -21,14 +21,17 @@ memo entries into each new set, never sharing a dict: a word shorter
 than a new lhs cannot contain it, so only entries shorter than each
 added rule, or within the degree of a set completed further, carry.
 
-Rewriting is integer arithmetic over Z[s, 1/s].  Every completed rule
-coefficient is a Laurent polynomial in s, so each word's normal form is
-one too: the memo stores a coefficient as (shift, ints), the value
-s^shift * sum(ints[i] s^i) with both end entries nonzero.  A product is
-a convolution and a sum an aligned add, with no gcd and no
-normalization.  A rule with a coefficient whose denominator is not a
-power of s is refused with a ValueError that names the rule; no
-completion of the x or chi-e rules at ranks 2 to 5 has made one.
+Rewriting and completion are integer arithmetic over Z[s, 1/s].  A rule
+is stored once, its rhs as (word, Laurent coefficient) pairs, and the
+memo holds normal forms the same way: (shift, ints) is the value
+s^shift * sum(ints[i] s^i), both end entries nonzero.  A product is a
+convolution and a sum an aligned add, with no gcd.  An S-polynomial is
+reduced as a term map, and orient divides by the leading coefficient
+exactly, as integer polynomials with a nonzero constant term, plus a
+shift.  Where that is inexact the rule would need a denominator, and
+orient refuses it with a ValueError naming the rule; no completion of
+the x rules at ranks 2 to 6 or the chi-e rules at ranks 2 to 4 has made
+one.  Only dump_rules turns coefficients back into Q(s).
 
 An input may have any Q(s) coefficients.  normal_form groups its terms
 by their denominator d, up to a power of s, reduces each group over
@@ -39,49 +42,14 @@ every output coefficient share it, and each would take a gcd against it.
 
 from __future__ import annotations
 
-from qserre.freealg import (
-    Alphabet, NcPoly, add_terms, braided_relations, chi_e_alphabet,
-    chi_e_braiding, deg_lex_key, serre_braiding, x_alphabet,
-)
-from qserre.qfield import QRat, _pmul
+from collections import namedtuple
 
+from qserre.freealg import Alphabet, NcPoly, add_terms, braided_relations, deg_lex_key
+from qserre.qfield import QRat, _pdivmod_exact, _pmul, _pneg
 
-class RewriteRule:
-    """lhs word -> rhs polynomial, homogeneous, strictly deg-lex decreasing."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs: NcPoly):
-        lhs = tuple(lhs)
-        if not lhs:
-            raise ValueError("empty left-hand side")
-        key = deg_lex_key(lhs)
-        for w in rhs.terms:
-            if len(w) != len(lhs):
-                raise ValueError("rule is not homogeneous: %s -> %s"
-                                 % (lhs, rhs))
-            if deg_lex_key(w) >= key:
-                raise ValueError("rhs word %s is not smaller than lhs %s"
-                                 % (w, lhs))
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RewriteRule is immutable")
-
-    def __repr__(self):
-        return "<Rule %s -> %s>" % (self.rhs.alphabet.word_str(self.lhs), self.rhs)
-
-
-def orient(relation: NcPoly) -> RewriteRule:
-    """Turn a relation into the monic rule rewriting its leading word."""
-    if relation.is_zero:
-        raise ValueError("cannot orient the zero relation")
-    lead = max(relation.terms, key=deg_lex_key)
-    lc = relation.terms[lead]
-    rest = relation - NcPoly.monomial(relation.alphabet, lead, lc)
-    rhs = rest.map_coefficients(lambda c: -(c / lc))
-    return RewriteRule(lead, rhs)
+# lhs word -> rhs, a tuple of (word, Laurent coefficient) pairs whose words
+# are deg-lex smaller and as long as lhs
+Rule = namedtuple("Rule", "lhs rhs")
 
 
 def _laurent_over(c):
@@ -97,19 +65,6 @@ def _laurent_over(c):
     while not num[lo]:
         lo += 1
     return den[k:], (lo - k, num[lo:])
-
-
-def _rule_laurent(rule):
-    """The rule's rhs as (word, Laurent coefficient) pairs, or ValueError."""
-    out = []
-    for w, c in rule.rhs.terms.items():
-        d, coeff = _laurent_over(c)
-        if d != (1,):
-            raise ValueError(
-                "rule %s has a coefficient that is not a Laurent polynomial "
-                "in s: %s" % (rule.rhs.alphabet.word_str(rule.lhs), c))
-        out.append((w, coeff))
-    return tuple(out)
 
 
 def _add_into(out, w, c):
@@ -144,7 +99,7 @@ def _add_into(out, w, c):
 _L_ONE = (0, (1,))
 
 
-def _as_qrat(c, den):
+def _as_qrat(c, den=(1,)):
     """The Laurent coefficient c divided by the integer polynomial den."""
     shift, t = c
     if shift >= 0:
@@ -155,6 +110,32 @@ def _as_qrat(c, den):
         # already reduced: t has a nonzero constant term, so it is prime to s
         return QRat._raw(num, low)
     return QRat(num, _pmul(low, den))
+
+
+def orient(alphabet: Alphabet, terms) -> Rule:
+    """The monic rule rewriting the leading word of terms, {word: Laurent}.
+
+    A ValueError where the rule would need a denominator.
+    """
+    if not terms:
+        raise ValueError("cannot orient the zero relation")
+    lead = max(terms, key=deg_lex_key)
+    if not lead or any(len(w) != len(lead) for w in terms):
+        raise ValueError("the relation with leading word %s is not homogeneous "
+                         "of positive degree" % alphabet.word_str(lead))
+    ls, lp = terms[lead]
+    lp = _pneg(lp)  # the rhs is minus the rest, over the leading coefficient
+    rhs = []
+    for w, (cs, cp) in terms.items():
+        if w != lead:
+            try:
+                rhs.append((w, (cs - ls, _pdivmod_exact(cp, lp))))
+            except ArithmeticError:
+                raise ValueError(
+                    "rule %s has a coefficient that is not a Laurent polynomial "
+                    "in s: %s" % (alphabet.word_str(lead), _as_qrat((cs - ls, cp), lp))
+                ) from None
+    return Rule(lead, tuple(rhs))
 
 
 class RuleSet:
@@ -178,7 +159,7 @@ class RuleSet:
             inside[a] = a  # so a repeated lhs is refused too
         by_last = {}
         for r in rules:
-            by_last.setdefault(r.lhs[-1], []).append((r.lhs, -len(r.lhs), _rule_laurent(r)))
+            by_last.setdefault(r.lhs[-1], []).append((r.lhs, -len(r.lhs), r.rhs))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "completed_degree", completed_degree)
@@ -226,12 +207,16 @@ class RuleSet:
                 # a plain swap, or a head of one normal word, shares its image
                 memo[w] = memo[parts[0][0]]
                 continue
-            out = {}
-            for t, (cs, cp) in parts:
-                for w2, (s2, p2) in memo[t].items():
-                    _add_into(out, w2, (cs + s2, _pmul(cp, p2)))
-            memo[w] = out
+            memo[w] = self.reduced_terms(parts)
         return memo[word]
+
+    def reduced_terms(self, terms) -> dict:
+        """NF of (word, Laurent coefficient) pairs, as {word: Laurent coefficient}."""
+        out = {}
+        for w, (cs, cp) in terms:
+            for w2, (s2, p2) in self.word_normal_form(w).items():
+                _add_into(out, w2, (cs + s2, _pmul(cp, p2)))
+        return out
 
     def normal_form(self, p: NcPoly) -> NcPoly:
         """NF(p): canonical when deg(p) <= completed_degree, else a remainder.
@@ -246,31 +231,22 @@ class RuleSet:
             groups.setdefault(d, []).append((w, coeff))
         out = {}
         for den, terms in groups.items():
-            acc = {}
-            for w, (cs, cp) in terms:
-                for w2, (s2, p2) in self.word_normal_form(w).items():
-                    _add_into(acc, w2, (cs + s2, _pmul(cp, p2)))
-            add_terms(out, ((w, _as_qrat(c, den)) for w, c in acc.items()))
+            add_terms(out, ((w, _as_qrat(c, den))
+                            for w, c in self.reduced_terms(terms).items()))
         return NcPoly._of(p.alphabet, out)
 
-    # the names bench/layertrace.py traces; complete() calls normal_form,
-    # so completion steps stay out of the traced rewrite.reduce counters
+    # the names bench/layertrace.py traces; completion reduces term maps,
+    # so its steps stay out of the traced rewrite.reduce counters
     reduce = reduce_flagged = normal_form
 
 
 def braided_rules(alphabet: Alphabet, braiding) -> RuleSet:
     """The oriented relations that braiding(alphabet) defines, not yet completed."""
     gens = [NcPoly.monomial(alphabet, (i,)) for i in range(len(alphabet))]
-    return RuleSet(alphabet, [orient(rel) for _, rel
-                              in braided_relations(gens, braiding(alphabet))])
-
-
-def base_rules(rank: int) -> RuleSet:
-    return braided_rules(x_alphabet(rank), serre_braiding)
-
-
-def chi_e_rules(rank: int) -> RuleSet:
-    return braided_rules(chi_e_alphabet(rank), chi_e_braiding)
+    # each coefficient is a sum of powers of s, so Laurent
+    return RuleSet(alphabet, [
+        orient(alphabet, {w: _laurent_over(c)[1] for w, c in rel.terms.items()})
+        for _, rel in braided_relations(gens, braiding(alphabet))])
 
 
 def _critical_pairs(rules, i, max_degree):
@@ -290,11 +266,12 @@ def _critical_pairs(rules, i, max_degree):
                 break  # self-overlaps only once
 
 
-def _s_poly(ra, rb, k, alphabet):
-    """The two one-step rewrites of the overlap word, subtracted."""
-    a = ra.lhs
-    return (ra.rhs * NcPoly.monomial(alphabet, rb.lhs[k:])
-            - NcPoly.monomial(alphabet, a[:len(a) - k]) * rb.rhs)
+def _s_poly(reducer, ra, rb, k):
+    """NF of the overlap word's two one-step rewrites, subtracted, as a term map."""
+    head, tail = ra.lhs[:len(ra.lhs) - k], rb.lhs[k:]
+    return reducer.reduced_terms(
+        [(w + tail, c) for w, c in ra.rhs]
+        + [(head + w, (cs, _pneg(cp))) for w, (cs, cp) in rb.rhs])
 
 
 MAX_STEPS = 100000  # critical pairs one completion may resolve
@@ -339,11 +316,10 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
             steps += 1
             if steps > MAX_STEPS:
                 raise RuntimeError("completion exceeded the step budget")
-            nf = reducer.normal_form(
-                _s_poly(work[ia], work[ib], k, rules.alphabet))
-            if nf.is_zero:
+            nf = _s_poly(reducer, work[ia], work[ib], k)
+            if not nf:
                 continue
-            work.append(orient(nf))
+            work.append(orient(rules.alphabet, nf))
             # the new lhs has length d, so no shorter word contains it
             reducer = _carried(rules.alphabet, work, reducer.memo, d)
             file_pairs(len(work) - 1)
@@ -351,7 +327,7 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
     # tail-reduce right-hand sides against the finished system, which the
     # last reducer holds; a rule never applies to its own rhs, whose words
     # are smaller words of the same length, so one reducer serves every rule
-    tidy = [RewriteRule(r.lhs, reducer.normal_form(r.rhs)) for r in work]
+    tidy = [Rule(r.lhs, tuple(reducer.reduced_terms(r.rhs).items())) for r in work]
     tidy.sort(key=lambda r: deg_lex_key(r.lhs))
     return _carried(rules.alphabet, tidy, reducer.memo, max_degree + 1, max_degree)
 
@@ -364,10 +340,9 @@ def _carried(alphabet, rules, memo, below, completed_degree=0) -> RuleSet:
 
 
 def critical_pair_residuals(rules: RuleSet, max_degree: int):
-    """All S-polynomial normal forms up to max_degree; empty support = confluent."""
+    """All S-polynomial normal forms up to max_degree, as term maps; all empty = confluent."""
     rs = rules.rules
-    return [((rs[ia].lhs, rs[ib].lhs, k),
-             rules.normal_form(_s_poly(rs[ia], rs[ib], k, rules.alphabet)))
+    return [((rs[ia].lhs, rs[ib].lhs, k), _s_poly(rules, rs[ia], rs[ib], k))
             for i in range(len(rs))
             for _, ia, ib, k in _critical_pairs(rs, i, max_degree)]
 
@@ -400,6 +375,7 @@ def dump_rules(rules: RuleSet) -> str:
     lines = ["# alphabet: %s" % ",".join("%s:%d" % f for f in rules.alphabet.families),
              "# completed_degree: %d" % rules.completed_degree]
     for r in rules.rules:
-        lines.append("%s -> %s" % (rules.alphabet.word_str(r.lhs), r.rhs))
+        rhs = NcPoly._of(rules.alphabet, {w: _as_qrat(c) for w, c in r.rhs})
+        lines.append("%s -> %s" % (rules.alphabet.word_str(r.lhs), rhs))
     return "\n".join(lines) + "\n"
 

@@ -5,10 +5,21 @@ only at the suffix ending at the last letter (qserre.rewrite).  This
 route scans for the leftmost match anywhere in the word instead, with
 its own memo and an explicit stack, so the tests can check that both
 orders reach the same normal form wherever the rules are canonical.
+
+raw_rules names the uncompleted rule sets that the tests start from.
 """
 
+from qserre.freealg import chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet
 from qserre.qfield import _pmul
-from qserre.rewrite import _L_ONE, _add_into, _rule_laurent
+from qserre.rewrite import _L_ONE, _add_into, braided_rules
+
+
+def raw_rules(name):
+    """The raw rules by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
+    family, rank = name[:-1], int(name[-1])
+    if family == "x":
+        return braided_rules(x_alphabet(rank), serre_braiding)
+    return braided_rules(chi_e_alphabet(rank), chi_e_braiding)
 
 
 class LeftmostReducer:
@@ -20,7 +31,7 @@ class LeftmostReducer:
         self.by_first = {}
         for r in rules.rules:
             self.by_first.setdefault(r.lhs[0], []).append(
-                (r.lhs, len(r.lhs), _rule_laurent(r)))
+                (r.lhs, len(r.lhs), r.rhs))
 
     def _find(self, word, start):
         """The leftmost rule match at or after start, as (i, len(lhs), rhs)."""

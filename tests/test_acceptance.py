@@ -11,11 +11,12 @@ import pytest
 
 from qserre.qfield import ONE, Q, QRat
 from qserre.freealg import NcPoly
-from qserre.rewrite import chi_e_rules, complete, critical_pair_residuals, normal_word_counts
+from qserre.rewrite import complete, critical_pair_residuals, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import ChiEVerifier, Verifier, descending_triples, qq_windows
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle, serre_relations
+from reference_rewrite import raw_rules
 
 COMPLETION = {2: 10, 3: 9}  # the largest degree of a pinned qq window
 CHIE_COMPLETION = 6
@@ -142,11 +143,11 @@ def test_criterion_7_confluence_certificate(v2, v3):
     pairs = 0
     for rules, bound in ((v2.rules_for(COMPLETION[2]), COMPLETION[2]),
                          (v3.rules_for(COMPLETION[3]), COMPLETION[3]),
-                         (complete(chi_e_rules(2), CHIE_COMPLETION), CHIE_COMPLETION),
-                         (complete(chi_e_rules(3), CHIE_COMPLETION), CHIE_COMPLETION)):
+                         (complete(raw_rules("chi-e2"), CHIE_COMPLETION), CHIE_COMPLETION),
+                         (complete(raw_rules("chi-e3"), CHIE_COMPLETION), CHIE_COMPLETION)):
         residuals = critical_pair_residuals(rules, bound)
         pairs += len(residuals)
-        ok = ok and all(r.is_zero for _, r in residuals)
+        ok = ok and not any(r for _, r in residuals)
     _report(7, ok, "all %d critical pairs up to the completion bounds "
             "resolve to zero" % pairs)
 

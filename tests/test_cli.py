@@ -446,9 +446,11 @@ def test_bad_input_exits_2(capsys, argv, phrase):
     "(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)", "x1^1000000000",
     "P(x1; 0, 1000000000)", "Q(1000000)", "Q(20) x1", "((q^32)^32)^32",
     "((x1^32)^32)^32",
+    pytest.param("(" * 1000 + "x1" + ")" * 1000, id="1000 nested parentheses"),
 ])
 def test_a_text_that_expands_past_a_cap_exits_2_at_once(capsys, text):
-    # each would loop about 10^9 times or build 2^14 to 2^30 terms
+    # each would loop about 10^9 times, build 2^14 to 2^30 terms or
+    # overflow the parser's stack
     t0 = time.perf_counter()
     got = run(capsys, "normal-form", text, "--rank", "4")
     assert time.perf_counter() - t0 < 1.0

@@ -17,6 +17,7 @@ from reference_echelon import (
     ReferenceOracle, _Echelon, _clear_denominators, _compositions,
     _multiset_words, _perm_count, chi_e_relations, serre_relations,
 )
+from reference_rewrite import raw_rules
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
@@ -90,8 +91,8 @@ def test_random_points_admissible():
 
 
 def test_agreement_with_rewriter_small():
-    from qserre.rewrite import base_rules, complete
-    rs = complete(base_rules(2), 5)
+    from qserre.rewrite import complete
+    rs = complete(raw_rules("x2"), 5)
     rng = random.Random(23)
     checked_members = 0
     for _ in range(60):
@@ -114,8 +115,8 @@ def test_agreement_with_rewriter_small():
 
 
 def test_dimension_consistency_rank2():
-    from qserre.rewrite import base_rules, complete, normal_word_counts
-    rs = complete(base_rules(2), 6)
+    from qserre.rewrite import complete, normal_word_counts
+    rs = complete(raw_rules("x2"), 6)
     oracle = ReferenceOracle(A2, RELS2)
     assert normal_word_counts(rs, 6) == oracle.quotient_dimensions(6)
     assert oracle.quotient_dimensions(4) == [1, 2, 4, 6, 9]

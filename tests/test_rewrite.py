@@ -13,16 +13,25 @@ from qserre.freealg import (
     NcPoly, SpectralWindow, big_Q, deg_lex_key, serre_braiding, x_alphabet,
 )
 from qserre.rewrite import (
-    RewriteRule, RuleSet, base_rules, braided_rules, chi_e_rules,
-    complete, critical_pair_residuals, dump_rules, normal_word_counts, orient,
+    _L_ONE, Rule, RuleSet, _as_qrat, _laurent_over, braided_rules, complete,
+    critical_pair_residuals, dump_rules, normal_word_counts, orient,
 )
 from qserre.verify import Verifier
-from reference_rewrite import LeftmostReducer
+from reference_rewrite import LeftmostReducer, raw_rules
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
 A4 = x_alphabet(4)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _terms(p):
+    """p's terms with Laurent coefficients, the map orient takes."""
+    out = {}
+    for w, c in p.terms.items():
+        den, out[w] = _laurent_over(c)
+        assert den == (1,), c
+    return out
 
 
 def normal_words(rules, degree):
@@ -33,12 +42,6 @@ def normal_words(rules, degree):
                        for lhs in lhss for i in range(degree - len(lhs) + 1))]
 
 
-def _raw(name):
-    """The raw rules by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
-    family, rank = name[:-1], int(name[-1])
-    return (base_rules if family == "x" else chi_e_rules)(rank)
-
-
 @functools.lru_cache(maxsize=None)
 def _completed(name, degree=8):
     """Completed sets by name; "resumed" is x rank 4 completed to 6, then to 9.
@@ -47,28 +50,28 @@ def _completed(name, degree=8):
     test that needs the set, not the collection of the whole module.
     """
     if name == "resumed":
-        return complete(complete(base_rules(4), 6), 9)
-    return complete(_raw(name), degree)
+        return complete(complete(raw_rules("x4"), 6), 9)
+    return complete(raw_rules(name), degree)
 
 
 def test_base_rule_counts():
-    assert len(base_rules(1)) == 0
-    assert len(base_rules(2)) == 2
-    assert len(base_rules(3)) == 5
+    assert len(raw_rules("x1")) == 0
+    assert len(raw_rules("x2")) == 2
+    assert len(raw_rules("x3")) == 5
 
 
 def test_base_rule_orientation():
-    rs = base_rules(2)
+    rs = raw_rules("x2")
     lhss = {rs.alphabet.word_str(r.lhs) for r in rs.rules}
     assert lhss == {"x2 x1 x1", "x2 x2 x1"}
     by_lhs = {rs.alphabet.word_str(r.lhs): r for r in rs.rules}
-    r = by_lhs["x2 x1 x1"]
-    x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
-    assert r.rhs == (x1 * x2 * x1).scale((ONE + Q) / Q) - (x1 * x1 * x2).scale(ONE / Q)
+    # x2 x1 x1 -> ((1 + q)/q) x1 x2 x1 - (1/q) x1 x1 x2, as Laurent pairs
+    assert dict(by_lhs["x2 x1 x1"].rhs) == {(0, 1, 0): (-2, (1, 0, 1)),
+                                           (0, 0, 1): (-2, (-1,))}
 
 
 def test_reduce_serre_word():
-    rs = complete(base_rules(2), 6)
+    rs = complete(raw_rules("x2"), 6)
     x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
     got = rs.reduce(x2 * x1 * x1)
     want = (x1 * x2 * x1).scale((ONE + Q) / Q) - (x1 * x1 * x2).scale(ONE / Q)
@@ -76,13 +79,13 @@ def test_reduce_serre_word():
 
 
 def test_reduce_distant_swap():
-    rs = complete(base_rules(3), 4)
+    rs = complete(raw_rules("x3"), 4)
     x1, x3 = (NcPoly.generator(A3, g) for g in ("x1", "x3"))
     assert rs.reduce(x3 * x1) == x1 * x3
 
 
 def test_reduce_fixpoint_on_normal_words():
-    rs = complete(base_rules(2), 6)
+    rs = complete(raw_rules("x2"), 6)
     words = normal_words(rs, 4)
     assert len(words) == normal_word_counts(rs, 4)[4] == 9
     for w in words:
@@ -91,13 +94,13 @@ def test_reduce_fixpoint_on_normal_words():
 
 
 def test_completion_rank2_adds_nothing():
-    rs = complete(base_rules(2), 8)
+    rs = complete(raw_rules("x2"), 8)
     assert len(rs) == 2
     assert rs.completed_degree == 8
 
 
 @pytest.mark.parametrize("raw, low, high", [
-    (functools.partial(_raw, name), low, high) for name, low, high in (
+    (functools.partial(raw_rules, name), low, high) for name, low, high in (
         ("x3", 8, 10), ("chi-e2", 6, 8), ("x4", 8, 12), ("x5", 8, 9),
         ("chi-e3", 8, 9))])
 def test_resumed_completion_equals_a_fresh_one(raw, low, high):
@@ -108,7 +111,7 @@ def test_resumed_completion_equals_a_fresh_one(raw, low, high):
 
 
 def test_completing_to_a_lower_degree_keeps_the_certificate():
-    done = complete(base_rules(3), 8)
+    done = complete(raw_rules("x3"), 8)
     again = complete(done, 6)
     assert again is done and again.completed_degree == 8
     assert normal_word_counts(again, 8) == normal_word_counts(done, 8)
@@ -117,10 +120,11 @@ def test_completing_to_a_lower_degree_keeps_the_certificate():
 def test_a_given_lhs_longer_than_the_lowest_degree_is_refused():
     # W holds the degree-4 lhs x3 x2 x1 x2 and no raw lhs; completion finds
     # that rule at degree 4, inside the given lhs W, and displaces nothing
-    raw = base_rules(3)
-    w = NcPoly.monomial(A3, (2, 1, 0, 1, 0))
-    extra = orient(w - complete(raw, 9).reduce(w))
-    assert extra.lhs == (2, 1, 0, 1, 0)
+    raw = raw_rules("x3")
+    w = (2, 1, 0, 1, 0)
+    # NF(w) - w, whose leading word is w
+    extra = orient(A3, {w: (0, (-1,)), **complete(raw, 9).reduced_terms([(w, _L_ONE)])})
+    assert extra.lhs == w
     given = RuleSet(A3, raw.rules + (extra,))
     with pytest.raises(ValueError, match="not inter-reduced"):
         complete(given, 9)
@@ -129,7 +133,7 @@ def test_a_given_lhs_longer_than_the_lowest_degree_is_refused():
 def test_resumed_completion_forms_fewer_s_polynomials(monkeypatch):
     # pairs of the given rules up to their completed degree are skipped:
     # x rank 4 from 8 to 12 forms 2 S-polynomials, a fresh completion 53
-    raw = base_rules(4)
+    raw = raw_rules("x4")
     done = complete(raw, 8)
     formed = []
     real = rewrite_module._s_poly
@@ -147,15 +151,17 @@ def test_resumed_completion_forms_fewer_s_polynomials(monkeypatch):
 
 
 @pytest.mark.parametrize("raw, degree, golden", [
-    (functools.partial(_raw, "x4"), 12, "rules_x_rank4_deg12.txt"),
-    (functools.partial(_raw, "chi-e4"), 8, "rules_chi_e_rank4_deg8.txt")])
+    (functools.partial(raw_rules, "x4"), 12, "rules_x_rank4_deg12.txt"),
+    (functools.partial(raw_rules, "chi-e4"), 8, "rules_chi_e_rank4_deg8.txt")])
 def test_rank4_completions_match_golden(raw, degree, golden):
     # recorded with the Q(s) reducer, before rewriting moved to Z[s, 1/s]
     assert dump_rules(complete(raw(), degree)) == (GOLDEN / golden).read_text()
 
 
 # sha256 of dump_rules for the completed sets that no golden file holds,
-# recorded before the relations were written from the braiding
+# recorded before the relations were written from the braiding; x5 at
+# 17 = 2L - 1, where every overlap of its longest lhs is resolved, was
+# recorded while completion still oriented over Q(s)
 COMPLETED_DIGESTS = {
     ("x4", 8): "8b4c06154d7763264b65af2ef753bd7b5addce8b9ce5ba80ea1b0f04d7ddd4c2",
     ("x5", 8): "50a789675a7f7a520542ed6cd7163071e72779ed2b4617c898bcc208ba4219b6",
@@ -164,6 +170,7 @@ COMPLETED_DIGESTS = {
     ("x3", 12): "4f679fe2492b0f4d9ac55bd4efde1b90677d88fe869af69d3cad944e70edc33a",
     ("x4", 10): "cc94ce9d01823b2482569bc8986ba435826e9bf749c683cff7f42bab79da9401",
     ("chi-e3", 8): "4b093f5ae9c93ad9d04d5ddfea5a83c882f91bd0ad28e60b64b0903a114043f7",
+    ("x5", 17): "5eccd8c3541d4db2ea9664d54bbbad4b4b1fdb3feab77be44f8dc3fa210bd566",
 }
 
 
@@ -174,6 +181,37 @@ def _digest(rules):
 @pytest.mark.parametrize("name, degree", list(COMPLETED_DIGESTS))
 def test_completed_rule_sets_match_their_digests(name, degree):
     assert _digest(_completed(name, degree)) == COMPLETED_DIGESTS[name, degree]
+
+
+@pytest.mark.slow
+def test_x6_completed_to_2l_minus_1_matches_its_digest():
+    # L = 11; recorded like x5 at 17, and a few seconds to complete
+    assert _digest(complete(raw_rules("x6"), 21)) == \
+        "3c7c02b0e0d0f572235549a2e0968391941f1298cc27759cf92cef0d89c77f58"
+
+
+def test_completion_does_no_ncpoly_or_qrat_arithmetic(monkeypatch):
+    # completion forms, reduces and orients S-polynomials in the rules' own
+    # Laurent pairs; over Q(s) this completion made 106 NcPoly products
+    raw = raw_rules("x4")  # built before the spies go in
+    calls = []
+
+    def spy(cls, name):
+        real = cls.__dict__[name]
+
+        def counted(*args):
+            calls.append((cls.__name__, name))
+            return real(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "scale"):
+        spy(NcPoly, name)
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+        spy(QRat, name)
+    done = complete(raw, 12)
+    assert calls == []
+    assert len(done) == 15
 
 
 def test_a_transposed_x_braiding_misses_every_x_digest():
@@ -188,14 +226,14 @@ def test_a_transposed_x_braiding_misses_every_x_digest():
 
 
 def test_completion_rank1_empty():
-    rs = complete(base_rules(1), 8)
+    rs = complete(raw_rules("x1"), 8)
     assert len(rs) == 0
     assert normal_word_counts(rs, 4) == [1, 1, 1, 1, 1]
 
 
 def test_completion_rank3_matches_dimension_oracle():
     from reference_echelon import ReferenceOracle, serre_relations
-    rs = complete(base_rules(3), 6)
+    rs = complete(raw_rules("x3"), 6)
     counts = normal_word_counts(rs, 6)
     oracle = ReferenceOracle(A3, serre_relations(A3))
     assert counts == oracle.quotient_dimensions(6)
@@ -203,14 +241,14 @@ def test_completion_rank3_matches_dimension_oracle():
 
 
 def test_normal_word_counts_rank2():
-    rs = complete(base_rules(2), 8)
+    rs = complete(raw_rules("x2"), 8)
     assert normal_word_counts(rs, 4) == [1, 2, 4, 6, 9]
     with pytest.raises(ValueError):
         normal_word_counts(rs, 9)
 
 
 def test_counts_non_increasing_under_completion():
-    raw = base_rules(3)
+    raw = raw_rules("x3")
     done = complete(raw, 6)
     for d in range(7):
         assert len(normal_words(done, d)) <= len(normal_words(raw, d))
@@ -221,7 +259,7 @@ def test_counts_non_increasing_under_completion():
 
 def test_soundness_reduction_stays_in_ideal():
     from qserre.oracle import IdealOracle
-    rs = complete(base_rules(2), 6)
+    rs = complete(raw_rules("x2"), 6)
     rng = random.Random(11)
     oracle = IdealOracle(A2, serre_braiding)
     for _ in range(15):
@@ -232,7 +270,7 @@ def test_soundness_reduction_stays_in_ideal():
 
 
 def test_reduce_idempotent_and_linear():
-    rs = complete(base_rules(2), 6)
+    rs = complete(raw_rules("x2"), 6)
     rng = random.Random(5)
     for _ in range(10):
         w1 = tuple(rng.randrange(2) for _ in range(4))
@@ -246,22 +284,23 @@ def test_reduce_idempotent_and_linear():
 
 
 def test_padded_rules_reduce_to_zero():
-    rs = complete(base_rules(3), 7)
+    rs = complete(raw_rules("x3"), 7)
     pads = [(), (0,), (2,), (1, 2)]
     for rule in rs.rules:
         for u in pads:
             for v in pads:
                 if len(u) + len(rule.lhs) + len(v) > 7:
                     continue
+                rhs = NcPoly(A3, [(w, _as_qrat(c)) for w, c in rule.rhs])
                 p = (NcPoly.monomial(A3, u)
-                     * (NcPoly.monomial(A3, rule.lhs) - rule.rhs)
+                     * (NcPoly.monomial(A3, rule.lhs) - rhs)
                      * NcPoly.monomial(A3, v))
                 assert rs.reduce(p).is_zero
 
 
 def test_canonicity_within_certified_degree():
     from qserre.oracle import IdealOracle
-    rs = complete(base_rules(2), 5)
+    rs = complete(raw_rules("x2"), 5)
     oracle = IdealOracle(A2, serre_braiding)
     rng = random.Random(17)
     words = lambda n: tuple(rng.randrange(2) for _ in range(n))
@@ -275,24 +314,24 @@ def test_canonicity_within_certified_degree():
 
 
 def test_critical_pairs_all_resolve():
-    for rs, d in [(complete(base_rules(2), 8), 8),
-                  (complete(base_rules(3), 8), 8),
-                  (complete(chi_e_rules(2), 6), 6)]:
+    for rs, d in [(complete(raw_rules("x2"), 8), 8),
+                  (complete(raw_rules("x3"), 8), 8),
+                  (complete(raw_rules("chi-e2"), 6), 6)]:
         for pair, residual in critical_pair_residuals(rs, d):
-            assert residual.is_zero, pair
+            assert not residual, pair
 
 
 def test_rule_validation():
     x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        orient(A2, _terms(x1 * x2 * x1 - x2 * x1))
+    with pytest.raises(ValueError, match="zero relation"):
+        orient(A2, {})
     with pytest.raises(ValueError):
-        RewriteRule((1, 0), x1 * x2 * x1)  # inhomogeneous
-    with pytest.raises(ValueError):
-        RewriteRule((0, 1), x2 * x1)  # rhs not smaller
-    with pytest.raises(ValueError):
-        RuleSet(A2, [orient(x2 * x1 - x1 * x2),
-                     orient(x2 * x1 * x1 - x1 * x1 * x2)])
+        RuleSet(A2, [orient(A2, _terms(x2 * x1 - x1 * x2)),
+                     orient(A2, _terms(x2 * x1 * x1 - x1 * x1 * x2))])
     with pytest.raises(ValueError, match="not inter-reduced"):
-        RuleSet(A2, [orient(x2 * x1 - x1 * x2)] * 2)  # a repeated lhs
+        RuleSet(A2, [orient(A2, _terms(x2 * x1 - x1 * x2))] * 2)  # a repeated lhs
 
 
 def test_order_concatenation_compatible():
@@ -308,16 +347,16 @@ def test_order_concatenation_compatible():
 
 
 def test_completion_deterministic():
-    a = complete(base_rules(3), 7)
-    b = complete(base_rules(3), 7)
-    assert [(r.lhs, sorted(r.rhs.terms.items(), key=str)) for r in a.rules] == \
-        [(r.lhs, sorted(r.rhs.terms.items(), key=str)) for r in b.rules]
+    a = complete(raw_rules("x3"), 7)
+    b = complete(raw_rules("x3"), 7)
+    assert [(r.lhs, sorted(r.rhs)) for r in a.rules] == \
+        [(r.lhs, sorted(r.rhs)) for r in b.rules]
 
 
 def test_step_budget_guard(monkeypatch):
     monkeypatch.setattr(rewrite_module, "MAX_STEPS", 2)
     with pytest.raises(RuntimeError):
-        complete(base_rules(3), 8)
+        complete(raw_rules("x3"), 8)
 
 
 def test_completion_never_calls_the_traced_reduce(monkeypatch):
@@ -330,7 +369,7 @@ def test_completion_never_calls_the_traced_reduce(monkeypatch):
         return RuleSet.normal_form(self, p)
 
     monkeypatch.setattr(RuleSet, "reduce", spy)
-    done = complete(base_rules(3), 9)
+    done = complete(raw_rules("x3"), 9)
     assert calls == []
     done.reduce(NcPoly.generator(A3, "x1"))  # the spy sees a caller's call
     assert len(calls) == 1
@@ -396,19 +435,28 @@ def test_grouped_normal_form_equals_word_by_word(data):
 
 
 def test_a_rule_with_rhs_zero_reduces_its_lhs_to_zero():
-    rs = RuleSet(A2, [RewriteRule((1, 0), NcPoly.zero(A2))])
+    rs = RuleSet(A2, [Rule((1, 0), ())])
     x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
     assert rs.reduce(x1 * x2 * x1 + x2 * x1 * x1 + x1) == x1
 
 
 def test_rule_with_a_non_laurent_coefficient_is_refused():
+    # x2 x1 -> x1 x2 / (1 + q) would need a denominator
     x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
-    rule = RewriteRule((1, 0), (x1 * x2).scale(ONE / (ONE + Q)))
     with pytest.raises(ValueError) as err:
-        RuleSet(A2, [rule])
+        orient(A2, _terms((x2 * x1).scale(ONE + Q) - x1 * x2))
     msg = str(err.value)
     assert "\n" not in msg
     assert "rule x2 x1" in msg and "not a Laurent polynomial in s" in msg
+
+
+def test_a_leading_coefficient_that_divides_the_others_is_accepted():
+    # 2 x2 x1 - 2q x1 x2 orients to x2 x1 -> q x1 x2: 2 is no unit of
+    # Z[s, 1/s], yet it divides every coefficient exactly
+    x1, x2 = (NcPoly.generator(A2, g) for g in ("x1", "x2"))
+    rule = orient(A2, _terms((x2 * x1).scale(QRat(2)) - (x1 * x2).scale(Q * 2)))
+    assert rule == Rule((1, 0), (((0, 1), (2, (1,))),))
+    assert RuleSet(A2, [rule]).reduce(x2 * x1) == (x1 * x2).scale(Q)
 
 
 def test_memo_holds_laurent_coefficients_after_a_qq_reduction():
@@ -450,7 +498,7 @@ def _frozen(memo):
 
 def test_completion_carries_the_memo_without_sharing_it():
     # x rank 4 has overlaps of degree 9, so the resumed completion reduces
-    rs8 = complete(base_rules(4), 8)
+    rs8 = complete(raw_rules("x4"), 8)
     # remainders of length 9 and 10, beyond rs8's degree
     rs8.reduce(NcPoly.monomial(A4, (3, 2, 1) * 3)
                + NcPoly.monomial(A4, (3, 2, 1, 0, 1) * 2))
@@ -477,7 +525,7 @@ def test_cold_rank4_qq_reduction_stays_small():
     # a count, not a timing: the prefix reducer visits 11,828 words here,
     # leftmost-first rewriting 41,728
     diff = _qq_difference(4)
-    done = complete(base_rules(4), diff.degree)
+    done = complete(raw_rules("x4"), diff.degree)
     cold = RuleSet(A4, done.rules, done.completed_degree)
     assert cold.reduce(diff).is_zero
     assert len(cold.memo) <= 15000
@@ -486,4 +534,4 @@ def test_cold_rank4_qq_reduction_stays_small():
 @pytest.mark.slow
 def test_rank5_qq_reduces_to_zero_by_rewriting():
     diff = _qq_difference(5)
-    assert complete(base_rules(5), diff.degree).reduce(diff).is_zero
+    assert complete(raw_rules("x5"), diff.degree).reduce(diff).is_zero

@@ -6,11 +6,12 @@ import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, QRat, q_power
 from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
-from qserre.rewrite import base_rules, complete, dump_rules
+from qserre.rewrite import complete, dump_rules
 from qserre.verify import (
     ChiEVerifier, Decider, Verifier, descending_triples, qq_windows,
 )
 from reference_echelon import ReferenceOracle, chi_e_relations, serre_relations
+from reference_rewrite import raw_rules
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +221,7 @@ def test_completion_resumes_only_for_a_larger_degree(monkeypatch):
     assert [rules.completed_degree for rules in done] == [8, 9]
     assert v.rules is done[1]
     # the resumed set is the one a fresh completion to 9 gives
-    assert dump_rules(done[1]) == dump_rules(complete(base_rules(3), 9))
+    assert dump_rules(done[1]) == dump_rules(complete(raw_rules("x3"), 9))
 
 
 def test_chi_e_embedding():
