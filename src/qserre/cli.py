@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 
 from qserre.exprparse import _TOKEN, parse_expression
 from qserre.rewrite import dump_rules, normal_word_counts
@@ -145,55 +146,67 @@ def cmd_hilbert(args) -> int:
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _grid_triples(args):
-    if args.lam is not None:
-        lam = args.lam
-        mu = args.mu if args.mu is not None else 0
-        nu = args.nu if args.nu is not None else 0
-        return [(lam, mu, nu)]
-    return descending_triples(args.lambda_max)
+# the run's windows: (lam, mu, nu) triples for telescoping and ayb, (mu,
+# lam) pairs for lemma and far, the factor-order tops and the qq windows
+Windows = namedtuple("Windows", "triples pairs lams qq")
 
 
-def _grid_pairs(args):
-    """(mu, lam) windows with mu < lam."""
-    if args.lam is not None:
-        return [(args.mu if args.mu is not None else 0, args.lam)]
-    return [(mu, lam)
-            for lam in range(args.lambda_max + 1) for mu in range(lam)]
+def resolve_windows(args, suites) -> Windows:
+    """The windows of a verify run, the one reader of its window flags.
+
+    --lambda gives one window, with mu = nu = 0 except qq's mu = 1.
+    Otherwise each grid runs up to --lambda-max, or LAMBDA_MAX.  A flag
+    that no requested suite reads is a usage error.
+    """
+    read = {flag for s in suites for flag in SUITES[s][1]}
+    for flag, value in zip(WINDOWS, (args.lambda_max, args.lam, args.mu, args.nu)):
+        if value is not None and flag not in read:
+            raise ValueError("no requested suite reads %s" % flag)
+    lam, mu, nu = args.lam, args.mu, args.nu
+    if lam is None:
+        if (mu, nu) != (None, None):
+            raise ValueError("--mu and --nu need --lambda")
+        top = LAMBDA_MAX if args.lambda_max is None else args.lambda_max
+        return Windows(descending_triples(top),
+                       [(m, k) for k in range(top + 1) for m in range(k)],
+                       range(top + 1), qq_windows(args.rank, top))
+    if args.lambda_max is not None:
+        raise ValueError("--lambda-max is not read when --lambda is given")
+    low, nu = mu or 0, nu or 0
+    return Windows([(lam, low, nu)], [(low, lam)], [lam],
+                   [(lam, 1 if mu is None else mu, nu)])
 
 
-def _suite_reports(suite: str, args, v: Verifier, qq_grid):
-    """Run one suite's checks over its grid, one after another."""
+def _suite_reports(suite: str, windows: Windows, v: Verifier):
+    """Run one suite's checks over its windows, one after another."""
     rank = v.rank
-    pairs = [1] + ([2] if rank >= 3 else [])
+    adjacent = range(1, rank)  # n of each adjacent pair (x_n, x_{n+1})
     if suite == "telescoping":
         for gen in v.alphabet.letters:
-            for lam, mu, nu in _grid_triples(args):
+            for lam, mu, nu in windows.triples:
                 yield v.check_telescoping(gen, lam, mu, nu)
-            lams = ([args.lam] if args.lam is not None
-                    else range(args.lambda_max + 1))
-            for lam in lams:
+            for lam in windows.lams:
                 for mu in range(lam + 1):
                     yield v.check_factor_commutation(gen, lam, mu)
     elif suite == "lemma":
-        for n in pairs:
-            for mu, lam in _grid_pairs(args):
+        for n in adjacent:
+            for mu, lam in windows.pairs:
                 for ordering in ("x1_first", "x2_first"):
                     yield v.check_lemma(mu, lam, ordering, n)
     elif suite == "central":
-        for n in pairs:
+        for n in adjacent:
             yield v.check_central_c(n=n)
     elif suite == "ayb":
-        for n in range(1, rank):
-            for lam, mu, nu in _grid_triples(args):
+        for n in adjacent:
+            for lam, mu, nu in windows.triples:
                 yield v.check_ayb(n, lam, mu, nu)
     elif suite == "far":
         for m in range(3, rank + 1):
             for n in range(1, m - 1):
-                for mu, lam in _grid_pairs(args):
+                for mu, lam in windows.pairs:
                     yield v.check_far_commutation(m, n, lam, mu)
     elif suite == "qq":
-        for lam, mu, nu in qq_grid:
+        for lam, mu, nu in windows.qq:
             yield v.check_qq(lam, mu, nu)
     elif suite == "chie":
         yield from ChiEVerifier(rank, v.mode).family_reports()
@@ -201,7 +214,7 @@ def _suite_reports(suite: str, args, v: Verifier, qq_grid):
         for mu, lam in RATIO_WINDOWS:
             yield check_ratio_identity(mu, lam)
     else:  # ayb-formal
-        for n in range(1, rank):
+        for n in adjacent:
             yield check_ayb_formal(v, n)
 
 
@@ -215,21 +228,7 @@ def cmd_verify(args) -> int:
         low = SUITES[args.suite][0]
         if args.rank < low:
             raise ValueError("suite %r needs rank >= %d" % (args.suite, low))
-    read = {flag for s in suites for flag in SUITES[s][1]}
-    for flag, value in zip(WINDOWS, (args.lambda_max, args.lam, args.mu, args.nu)):
-        if value is not None and flag not in read:
-            raise ValueError("no requested suite reads %s" % flag)
-    if args.lam is None and (args.mu, args.nu) != (None, None):
-        raise ValueError("--mu and --nu need --lambda")
-    if args.lam is not None and args.lambda_max is not None:
-        raise ValueError("--lambda-max is not read when --lambda is given")
-    if args.lambda_max is None:
-        args.lambda_max = LAMBDA_MAX
-    if args.lam is not None:
-        qq_grid = [(args.lam, args.mu if args.mu is not None else 1,
-                    args.nu if args.nu is not None else 0)]
-    else:
-        qq_grid = qq_windows(args.rank, args.lambda_max)
+    windows = resolve_windows(args, suites)
     if args.dump_rules and all(s in SUITES_WITHOUT_X_RULES for s in suites):
         raise ValueError("--dump-rules names the x rule set, which no "
                          "requested suite uses")
@@ -237,7 +236,7 @@ def cmd_verify(args) -> int:
 
     reports = []
     for s in suites:
-        got = list(_suite_reports(s, args, verifier, qq_grid))
+        got = list(_suite_reports(s, windows, verifier))
         if not got:
             raise ValueError("suite %r has no check on the requested grid" % s)
         reports.extend(got)

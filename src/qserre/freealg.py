@@ -316,19 +316,13 @@ def c_element(alphabet: Alphabet, n: int = 1) -> NcPoly:
 
 
 def lemma_product(alphabet: Alphabet, window: SpectralWindow,
-                  exponent_choice: str, n: int = 1) -> NcPoly:
+                  e: int, n: int = 1) -> NcPoly:
     """prod_{j=mu}^{lam-1} (1 + c q^{2j} - (x_n + x_{n+1} + k q^e) q^j).
 
-    exponent_choice picks e: "lam" matches the x_n-first ordered product,
-    "mu" the x_{n+1}-first one.  Factors ascend in j left-to-right; they
-    only commute modulo the ideal, so this order is normative.
+    e = window.lam matches the x_n-first ordered product, e = window.mu
+    the x_{n+1}-first one.  Factors ascend in j left-to-right; they only
+    commute modulo the ideal, so this order is normative.
     """
-    if exponent_choice == "lam":
-        e = window.lam
-    elif exponent_choice == "mu":
-        e = window.mu
-    else:
-        raise ValueError("exponent_choice must be 'lam' or 'mu'")
     lo, hi = _adjacent_pair(alphabet, n)
     k = k_element(alphabet, n)
     c = c_element(alphabet, n)

@@ -39,7 +39,11 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    # most products in the oracle and in QRat have a constant operand
+    # the callers are QRat arithmetic, the reducer's Laurent products and
+    # the series' common denominators; with zero operands left out, a
+    # constant operand against a convolution is 11,940 to 3,099 in
+    # verify all --rank 3 --lambda-max 2 and 27,905 to 5,113 in three
+    # passes of the bench membership stream
     if len(a) == 1:
         a, b = b, a
     if len(b) == 1:
@@ -126,8 +130,11 @@ def _pgcd(a, b):
     """gcd of primitive parts, primitive PRS, positive leading coeff.
 
     A constant operand gives 1 and a monomial c*s^k gives s^min(k, ord)
-    without any PRS step; most gcds in the oracle and in QRat are one of
-    these.
+    without any PRS step.  The callers are QRat arithmetic and the common
+    denominator of a series.  With zero operands left out, verify all
+    --rank 3 --lambda-max 2 takes 2,135 constant, 521 monomial and 308
+    PRS gcds; three passes of the bench membership stream take 808, 322
+    and 1,145, so there the fast paths serve only about half.
     """
     if not a:
         return _primitive(b)

@@ -339,14 +339,6 @@ def _carried(alphabet, rules, memo, below, completed_degree=0) -> RuleSet:
     return out
 
 
-def critical_pair_residuals(rules: RuleSet, max_degree: int):
-    """All S-polynomial normal forms up to max_degree, as term maps; all empty = confluent."""
-    rs = rules.rules
-    return [((rs[ia].lhs, rs[ib].lhs, k), _s_poly(rules, rs[ia], rs[ib], k))
-            for i in range(len(rs))
-            for _, ia, ib, k in _critical_pairs(rs, i, max_degree)]
-
-
 def _normal_levels(rules: RuleSet, degree: int):
     """Words with no rule lhs as a subword, one list per degree 0..degree."""
     lhss = [r.lhs for r in rules.rules]

@@ -197,11 +197,11 @@ class Verifier(Decider):
         if ordering == "x1_first":
             lhs = (qproduct(self.alphabet, lo, w)
                    * qproduct(self.alphabet, hi, w))
-            rhs = lemma_product(self.alphabet, w, "lam", n)
+            rhs = lemma_product(self.alphabet, w, w.lam, n)
         elif ordering == "x2_first":
             lhs = (qproduct(self.alphabet, hi, w)
                    * qproduct(self.alphabet, lo, w))
-            rhs = lemma_product(self.alphabet, w, "mu", n)
+            rhs = lemma_product(self.alphabet, w, w.mu, n)
         else:
             raise ValueError("ordering must be x1_first or x2_first")
         params = (("mu", mu), ("lam", lam), ("ordering", ordering), ("n", n))

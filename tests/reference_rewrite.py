@@ -6,12 +6,16 @@ route scans for the leftmost match anywhere in the word instead, with
 its own memo and an explicit stack, so the tests can check that both
 orders reach the same normal form wherever the rules are canonical.
 
-raw_rules names the uncompleted rule sets that the tests start from.
+raw_rules names the uncompleted rule sets that the tests start from, and
+critical_pair_residuals is the diamond-lemma reference: a set is
+confluent up to a degree when every overlap there resolves to zero.
 """
 
 from qserre.freealg import chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet
 from qserre.qfield import _pmul
-from qserre.rewrite import _L_ONE, _add_into, braided_rules
+from qserre.rewrite import (
+    _L_ONE, _add_into, _critical_pairs, _s_poly, braided_rules,
+)
 
 
 def raw_rules(name):
@@ -20,6 +24,14 @@ def raw_rules(name):
     if family == "x":
         return braided_rules(x_alphabet(rank), serre_braiding)
     return braided_rules(chi_e_alphabet(rank), chi_e_braiding)
+
+
+def critical_pair_residuals(rules, max_degree):
+    """All S-polynomial normal forms up to max_degree, as term maps; all empty = confluent."""
+    rs = rules.rules
+    return [((rs[ia].lhs, rs[ib].lhs, k), _s_poly(rules, rs[ia], rs[ib], k))
+            for i in range(len(rs))
+            for _, ia, ib, k in _critical_pairs(rs, i, max_degree)]
 
 
 class LeftmostReducer:

@@ -11,12 +11,12 @@ import pytest
 
 from qserre.qfield import ONE, Q, QRat
 from qserre.freealg import NcPoly
-from qserre.rewrite import complete, critical_pair_residuals, normal_word_counts
+from qserre.rewrite import complete, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import ChiEVerifier, Verifier, descending_triples, qq_windows
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle, serre_relations
-from reference_rewrite import raw_rules
+from reference_rewrite import critical_pair_residuals, raw_rules
 
 COMPLETION = {2: 10, 3: 9}  # the largest degree of a pinned qq window
 CHIE_COMPLETION = 6

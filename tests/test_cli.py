@@ -305,6 +305,37 @@ def test_verify_telescoping_one_window_runs_only_its_factor_orders(capsys):
     assert sum(r["suite"] == "telescoping" for r in recs) == 2
 
 
+def _records(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--output", "structured")
+    assert code == 0
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_pair_indexed_suites_visit_every_adjacent_pair(capsys):
+    # at rank 4 the adjacent pairs are (x1, x2), (x2, x3) and (x3, x4)
+    recs = _records(capsys, "verify", "all", "--rank", "4", "--mode", "rewrite")
+    for suite in ("lemma", "central", "ayb", "ayb-formal"):
+        assert {r["params"]["n"] for r in recs if r["suite"] == suite} == {1, 2, 3}, suite
+
+
+def test_one_window_defaults(capsys):
+    # --lambda alone: mu = nu = 0, except qq's mu = 1
+    recs = _records(capsys, "verify", "all", "--rank", "3", "--lambda", "2")
+    triples = {}
+    for r in recs:
+        p = r["params"]
+        if {"lam", "mu", "nu"} <= set(p):
+            triples.setdefault(r["suite"], set()).add((p["lam"], p["mu"], p["nu"]))
+    assert triples == {"ayb": {(2, 0, 0)}, "telescoping": {(2, 0, 0)},
+                       "qq": {(2, 1, 0)}}
+    # --mu sets the pair suites' (mu, lam)
+    recs = _records(capsys, "verify", "all", "--rank", "3", "--lambda", "2",
+                    "--mu", "1")
+    for suite in ("lemma", "far"):
+        assert {(r["params"]["mu"], r["params"]["lam"])
+                for r in recs if r["suite"] == suite} == {(1, 2)}, suite
+
+
 # -- hilbert command ----------------------------------------------------------
 
 def test_hilbert_rank2(capsys):

@@ -14,10 +14,10 @@ from qserre.freealg import (
 )
 from qserre.rewrite import (
     _L_ONE, Rule, RuleSet, _as_qrat, _laurent_over, braided_rules, complete,
-    critical_pair_residuals, dump_rules, normal_word_counts, orient,
+    dump_rules, normal_word_counts, orient,
 )
 from qserre.verify import Verifier
-from reference_rewrite import LeftmostReducer, raw_rules
+from reference_rewrite import LeftmostReducer, critical_pair_residuals, raw_rules
 
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)

@@ -45,10 +45,10 @@ def test_lemma_small_window_free(v2):
     # width-1 windows cancel before any relations are used
     r = v2.check_lemma(1, 2, "x1_first")
     assert r.passed
-    lhs = (qproduct(v2.alphabet, "x1", SpectralWindow(2, 1))
-           * qproduct(v2.alphabet, "x2", SpectralWindow(2, 1)))
+    w = SpectralWindow(2, 1)
+    lhs = (qproduct(v2.alphabet, "x1", w) * qproduct(v2.alphabet, "x2", w))
     from qserre.freealg import lemma_product
-    assert (lhs - lemma_product(v2.alphabet, SpectralWindow(2, 1), "lam")).is_zero
+    assert (lhs - lemma_product(v2.alphabet, w, w.lam)).is_zero
 
 
 def test_lemma_full_grid(v2):
@@ -329,7 +329,7 @@ def test_mutant_lemma_exponent_choice_fails(v2):
     from qserre.freealg import lemma_product
     w = SpectralWindow(2, 0)
     lhs = (qproduct(v2.alphabet, "x1", w) * qproduct(v2.alphabet, "x2", w))
-    wrong = lemma_product(v2.alphabet, w, "mu")
+    wrong = lemma_product(v2.alphabet, w, w.mu)
     assert not v2.rules.reduce(lhs - wrong).is_zero
 
 
