@@ -173,8 +173,13 @@ def resolve_windows(args, suites) -> Windows:
     if args.lambda_max is not None:
         raise ValueError("--lambda-max is not read when --lambda is given")
     low, nu = mu or 0, nu or 0
-    return Windows([(lam, low, nu)], [(low, lam)], [lam],
-                   [(lam, 1 if mu is None else mu, nu)])
+    qq = (lam, 1 if mu is None else mu, nu)
+    # a single window whose products are empty or equal would pass vacuously
+    if low == lam and {"lemma", "far"} & set(suites):
+        raise ValueError("window mu = lam = %d has empty products" % lam)
+    if "qq" in suites and len(set(qq)) < 3:
+        raise ValueError("qq window %s has an empty or a repeated product" % (qq,))
+    return Windows([(lam, low, nu)], [(low, lam)], [lam], [qq])
 
 
 def _suite_reports(suite: str, windows: Windows, v: Verifier):
@@ -211,11 +216,9 @@ def _suite_reports(suite: str, windows: Windows, v: Verifier):
     elif suite == "chie":
         yield from ChiEVerifier(rank, v.mode).family_reports()
     elif suite == "ratio":
-        for mu, lam in RATIO_WINDOWS:
-            yield check_ratio_identity(mu, lam)
+        yield from check_ratio_identity(RATIO_WINDOWS)
     else:  # ayb-formal
-        for n in adjacent:
-            yield check_ayb_formal(v, n)
+        yield from check_ayb_formal(v)
 
 
 def cmd_verify(args) -> int:

@@ -176,9 +176,9 @@ def test_criterion_9_telescoping_and_factor_order(v2):
 
 
 def test_criterion_10_series(v2):
-    ratio_ok = all(check_ratio_identity(mu, lam, 6).passed
-                   for mu, lam in ((0, 1), (0, 2), (1, 3)))
-    formal = check_ayb_formal(v2, 1, 4)
+    ratio_ok = all(r.passed for r in
+                   check_ratio_identity(((0, 1), (0, 2), (1, 3)), 6))
+    [formal] = check_ayb_formal(v2, 4)
     notes = " ".join(formal.notes)
     ok = (ratio_ok and formal.passed
           and "exact in L, M, N: 18 parameter monomials decided" in notes

@@ -318,6 +318,51 @@ def test_pair_indexed_suites_visit_every_adjacent_pair(capsys):
         assert {r["params"]["n"] for r in recs if r["suite"] == suite} == {1, 2, 3}, suite
 
 
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_ayb_formal_builds_its_sides_once_for_every_pair(capsys, monkeypatch):
+    from qserre import series
+    built = _counted(monkeypatch, series, "formal_ayb_sides")
+    recs = _records(capsys, "verify", "ayb-formal", "--rank", "4")
+    assert [r["params"]["n"] for r in recs] == [1, 2, 3]
+    assert all(r["pass"] for r in recs)
+    assert len(built) == 1
+
+
+def test_ratio_builds_its_series_once_for_every_window(capsys, monkeypatch):
+    from qserre import series
+    built = _counted(monkeypatch, series, "ratio_series")
+    recs = _records(capsys, "verify", "ratio")
+    assert len(recs) == 3 and all(r["pass"] for r in recs)
+    assert len(built) == 1
+
+
+def test_verify_ayb_formal_rank_5(capsys):
+    recs = _records(capsys, "verify", "ayb-formal", "--rank", "5")
+    assert [r["params"]["n"] for r in recs] == [1, 2, 3, 4]
+    assert all(r["pass"] for r in recs)
+
+
+def test_each_series_suite_calls_its_check_once_through_cli(capsys, monkeypatch):
+    # the benchmark's layer trace wraps these two names for its series spans
+    import qserre.cli
+    formal = _counted(monkeypatch, qserre.cli, "check_ayb_formal")
+    ratio = _counted(monkeypatch, qserre.cli, "check_ratio_identity")
+    recs = _records(capsys, "verify", "all", "--rank", "3", "--lambda-max", "2")
+    assert len(formal) == len(ratio) == 1
+    assert sum(r["suite"] == "ayb-formal" for r in recs) == 2
+    assert sum(r["suite"] == "ratio" for r in recs) == 3
+
+
 def test_one_window_defaults(capsys):
     # --lambda alone: mu = nu = 0, except qq's mu = 1
     recs = _records(capsys, "verify", "all", "--rank", "3", "--lambda", "2")
@@ -467,6 +512,19 @@ def _case(n, argv, phrase):
     # Q(...) over the chi-e alphabet
     _case(25, ("normal-form", "e1 + Q(2)"), "Q() needs the x generators"),
     _case(26, ("normal-form", "chi1 Q(2,1)"), "Q() needs the x generators"),
+    # a single window that checks nothing: empty or equal products
+    _case(27, ("verify", "lemma", "--lambda", "2", "--mu", "2"),
+          "window mu = lam = 2 has empty products"),
+    _case(28, ("verify", "far", "--rank", "3", "--lambda", "1", "--mu", "1"),
+          "window mu = lam = 1 has empty products"),
+    _case(29, ("verify", "qq", "--lambda", "0"),
+          "qq window (0, 1, 0) has an empty or a repeated product"),
+    _case(30, ("verify", "qq", "--lambda", "2", "--mu", "2"),
+          "qq window (2, 2, 0) has an empty or a repeated product"),
+    _case(31, ("verify", "qq", "--lambda", "2", "--mu", "1", "--nu", "1"),
+          "qq window (2, 1, 1) has an empty or a repeated product"),
+    _case(32, ("verify", "all", "--lambda", "1"),
+          "qq window (1, 1, 0) has an empty or a repeated product"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qserre.qfield import ONE, Q, QRat, q_power
-from qserre.freealg import NcPoly, SpectralWindow, ayb_sides, qproduct, x_alphabet
+from qserre.freealg import (
+    NcPoly, SpectralWindow, ayb_sides, mul_terms, qproduct, x_alphabet,
+)
 from qserre import qfield as qfield_module
 from qserre import series
 from qserre.series import (
-    _at_powers, _over_common_denominator, _times, _truncated, check_ayb_formal,
+    _at_window, _over_common_denominator, _times, _truncated, check_ayb_formal,
     check_ratio_identity, formal_ayb_sides, ratio_series,
 )
 from qserre.verify import Verifier
@@ -31,6 +34,12 @@ def one_minus(alphabet, gen, param):
 def shifted(s, param):
     """The series with P_param replaced by q * P_param."""
     return {e: p.scale(q_power(e[param])) for e, p in s.items()}
+
+
+def at_powers(s, alphabet, k):
+    """The series at P_i = q^(k_i): the sum of A_e q^<e, k> over e."""
+    D, nums = _at_window(_over_common_denominator(s), k)
+    return NcPoly(alphabet, {w: QRat(t, D) for w, t in nums.items()})
 
 
 def q_adic_expansion(r: QRat, order: int):
@@ -112,17 +121,37 @@ def test_inverse():
 
 
 def test_ratio_identity_reports():
-    assert check_ratio_identity(0, 0, 4).passed
-    for mu, lam in ((0, 1), (0, 2), (1, 3)):
-        r = check_ratio_identity(mu, lam, 6)
-        assert r.passed, (mu, lam)
+    [r] = check_ratio_identity([(0, 0)], 4)
+    assert r.passed
+    windows = ((0, 1), (0, 2), (1, 3))
+    reports = check_ratio_identity(windows, 6)
+    assert [r.params for r in reports] == [
+        (("mu", mu), ("lam", lam), ("D", 6)) for mu, lam in windows]
+    for r in reports:
+        assert r.passed, r.params
         assert r.residual.is_zero
     with pytest.raises(ValueError):
-        check_ratio_identity(2, 1)
+        check_ratio_identity([(0, 1), (2, 1)])
+
+
+def test_ratio_identity_refuses_a_perturbed_series(monkeypatch):
+    # every window reads the one series, so one wrong coefficient fails each
+    # window whose specialization keeps it
+    real = series.ratio_series
+
+    def perturbed(alphabet, gen, up, low, cutoff):
+        s = dict(real(alphabet, gen, up, low, cutoff))
+        s[(1, 0, 0)] = s[(1, 0, 0)].scale(Q)
+        return s
+
+    monkeypatch.setattr(series, "ratio_series", perturbed)
+    reports = check_ratio_identity(((0, 1), (0, 2), (1, 3)), 6)
+    assert not any(r.passed for r in reports)
+    assert all(not r.residual.is_zero for r in reports)
 
 
 def test_ratio_series_matches_qproduct_directly():
-    ratio = _at_powers(ratio_series(A1, "x1", L, M, 4), A1, (0, 1, 0))
+    ratio = at_powers(ratio_series(A1, "x1", L, M, 4), A1, (0, 1, 0))
     assert ratio == qproduct(A1, "x1", SpectralWindow(1, 0))
 
 
@@ -134,8 +163,8 @@ def test_equal_windows_collapse_to_unit():
 def test_formal_sides_integer_specialization():
     lhs, rhs = formal_ayb_sides(A2, 1, 4)
     plhs, prhs = ayb_sides(A2, 1, 2, 1, 0)
-    assert _at_powers(lhs, A2, (2, 1, 0)) == _truncated(plhs, 4)
-    assert _at_powers(rhs, A2, (2, 1, 0)) == _truncated(prhs, 4)
+    assert at_powers(lhs, A2, (2, 1, 0)) == _truncated(plhs, 4)
+    assert at_powers(rhs, A2, (2, 1, 0)) == _truncated(prhs, 4)
 
 
 def test_formal_sides_lambda_equals_mu():
@@ -158,22 +187,44 @@ def v2():
 
 
 def test_ayb_formal_order_one(v2):
-    r = check_ayb_formal(v2, 1, 1)
+    [r] = check_ayb_formal(v2, 1)
     assert r.passed
     # the difference vanishes below degree 3, and is still decided once
     assert r.methods == ("rewrite", "oracle")
 
 
 def test_ayb_formal_default(v2):
-    r = check_ayb_formal(v2, 1, 4)
+    [r] = check_ayb_formal(v2, 4)
     assert r.passed
     assert r.residual.is_zero
     assert r.methods == ("rewrite", "oracle")
 
 
 def test_ayb_formal_higher_pair():
-    r = check_ayb_formal(Verifier(3), 2, 3)
-    assert r.passed
+    reports = check_ayb_formal(Verifier(3), 3)
+    assert [dict(r.params)["n"] for r in reports] == [1, 2]
+    assert all(r.passed for r in reports)
+
+
+def test_ayb_formal_relabels_the_sides_built_on_the_pair(monkeypatch):
+    # the coefficients decided at (x2, x3) are those of the sides built on
+    # x2, x3 themselves: relabeling x1, x2 -> x2, x3 is exact
+    seen = {}
+    real = Verifier.decide
+
+    def spy(self, identity, params, diff, notes=()):
+        p = dict(params)
+        seen[p["n"], p["monomial"]] = diff
+        return real(self, identity, params, diff, notes)
+
+    monkeypatch.setattr(Verifier, "decide", spy)
+    check_ayb_formal(Verifier(3), 3)
+    lhs, rhs = formal_ayb_sides(x_alphabet(3), 2, 3)
+    zero = NcPoly.zero(x_alphabet(3))
+    want = {e: lhs.get(e, zero) - rhs.get(e, zero) for e in lhs.keys() | rhs.keys()}
+    got = {e: d for (n, e), d in seen.items() if n == 2}
+    assert got == {e: d for e, d in want.items() if d}
+    assert all(d.alphabet == x_alphabet(3) for d in got.values())
 
 
 @pytest.mark.parametrize("cutoff, monomials", [(4, 18), (5, 36)])
@@ -187,7 +238,7 @@ def test_ayb_formal_decides_each_parameter_monomial(v2, monkeypatch, cutoff,
         return real(self, identity, params, diff, notes)
 
     monkeypatch.setattr(Verifier, "decide", spy)
-    r = check_ayb_formal(v2, 1, cutoff)
+    [r] = check_ayb_formal(v2, cutoff)
     assert r.passed
     assert len(seen) == len(set(seen)) == monomials
     assert ("exact in L, M, N: %d parameter monomials decided" % monomials
@@ -205,7 +256,7 @@ def test_ayb_formal_refuses_a_perturbed_coefficient(v2, monkeypatch):
         return lhs, rhs
 
     monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
-    r = check_ayb_formal(v2, 1, 4)
+    [r] = check_ayb_formal(v2, 4)
     assert not r.passed
     # the residual comes from the decided L coefficient, not the integer check
     assert not r.residual.is_zero
@@ -230,7 +281,7 @@ def test_integer_windows_catch_a_numerator_that_keeps_every_denominator(
     bad, _ = perturbed(A2, 1, 4)
     assert _over_common_denominator(bad)[0] == _over_common_denominator(lhs)[0]
     monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
-    r = check_ayb_formal(v2, 1, 4)
+    [r] = check_ayb_formal(v2, 4)
     assert not r.passed
     assert "integer specialization mismatch" in r.notes
 
@@ -241,6 +292,40 @@ def test_truncation_drops_overflow():
     # a product of factors at cutoff 3 keeps no word longer than 3
     s = _times(ratio_series(A2, "x1", L, M, 3), ratio_series(A2, "x2", N, L, 3), 3)
     assert max(p.degree for p in s.values()) == 3
+
+
+def unpruned_times(a, b, cutoff):
+    """The series product with mul_terms' cutoff over every pair of entries."""
+    terms = {}
+    for ea, pa in a.items():
+        for eb, pb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            mul_terms(terms.setdefault(e, {}), pa.terms, pb.terms, cutoff)
+    return {e: NcPoly(A2, t) for e, t in terms.items() if t}
+
+
+def random_series(rng):
+    """Entries whose words are shorter, as long as or longer than their
+    exponent sum, among them x1 at (0, 0, 0) and the unit at (2, 1, 0)."""
+    out = {(0, 0, 0): NcPoly.generator(A2, "x1"), (2, 1, 0): NcPoly.unit(A2)}
+    for _ in range(rng.randint(1, 5)):
+        e = tuple(rng.randint(0, 2) for _ in range(3))
+        p = NcPoly(A2, {tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5))):
+                        QRat(rng.randint(-3, 3), (rng.randint(1, 2), 1))
+                        for _ in range(rng.randint(1, 4))})
+        if p:
+            out[e] = p
+    return out
+
+
+def test_pruned_product_equals_the_unpruned_one():
+    # skipping a pair of entries by its shortest words is exact; pruning by
+    # exponent sums would drop the unit at (2, 1, 0) times short words
+    rng = random.Random(27)
+    for _ in range(40):
+        a, b = random_series(rng), random_series(rng)
+        for cutoff in range(7):
+            assert _times(a, b, cutoff) == unpruned_times(a, b, cutoff), cutoff
 
 
 def test_series_arithmetic_associativity():
