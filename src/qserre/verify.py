@@ -302,9 +302,8 @@ QQ_WINDOWS = {
 
 def qq_windows(rank: int, lambda_max: int = 3):
     """Q-commutativity grid: the pinned windows that fit under lambda_max."""
-    pinned = [w for w in QQ_WINDOWS.get(rank, ((2, 1, 0),))
-              if w[0] <= lambda_max]
-    return tuple(pinned) if pinned else tuple(descending_triples(lambda_max))
+    return tuple(w for w in QQ_WINDOWS.get(rank, ((2, 1, 0),))
+                 if w[0] <= lambda_max)
 
 
 def descending_triples(top: int):

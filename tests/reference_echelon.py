@@ -19,7 +19,7 @@ takes gcds, comes out once, when a row is stored.
 from math import factorial, gcd as _int_gcd
 
 from qserre.freealg import NcPoly
-from qserre.oracle import _content, split_homogeneous
+from qserre.oracle import split_homogeneous
 from qserre.qfield import (
     ONE, _content as _int_content, _padd, _pdivmod_exact, _pgcd, _pmul,
     _pneg, _primitive, q_power, s_power,
@@ -47,6 +47,11 @@ def _multiset_words(content):
                 counts[i] = c
 
     yield from rec(0)
+
+
+def _letter_counts(word, nletters):
+    """The letter counts of word."""
+    return tuple(word.count(i) for i in range(nletters))
 
 
 def _perm_count(content):
@@ -179,7 +184,7 @@ class ReferenceOracle:
         for rel in self.relations:
             if rel.is_zero:
                 raise ValueError("zero relation")
-            contents = {_content(w, n) for w in rel.terms}
+            contents = {_letter_counts(w, n) for w in rel.terms}
             if len(contents) != 1:
                 raise ValueError("relation is not multidegree-homogeneous; "
                                  "blockwise elimination does not apply")
@@ -207,7 +212,7 @@ class ReferenceOracle:
         n = len(self.alphabet)
         grouped = {}
         for w, c in s.vector.terms.items():
-            grouped.setdefault(_content(w, n), {})[w] = c
+            grouped.setdefault(_letter_counts(w, n), {})[w] = c
         return all(self._block(content).residue(vec)[1] is None
                    for content, vec in grouped.items())
 

@@ -318,6 +318,20 @@ def test_pair_indexed_suites_visit_every_adjacent_pair(capsys):
         assert {r["params"]["n"] for r in recs if r["suite"] == suite} == {1, 2, 3}, suite
 
 
+def test_rank_4_both_routes_agree_with_rewriting_alone(capsys):
+    # the oracle reads each block at its normal words only, which makes
+    # rank 4 cheap enough to decide by both routes here
+    both = _records(capsys, "verify", "all", "--rank", "4")
+    alone = _records(capsys, "verify", "all", "--rank", "4", "--mode", "rewrite")
+    assert len(both) == 253 and all(r["pass"] for r in both)
+    assert any(r["method"] == "rewrite+oracle" for r in both)
+
+    def verdicts(records):
+        return [{k: v for k, v in r.items() if k not in ("method", "millis")}
+                for r in records]
+    assert verdicts(both) == verdicts(alone)
+
+
 def _counted(monkeypatch, module, name):
     """The argument tuples of every call to module.name from now on."""
     calls, real = [], getattr(module, name)
@@ -525,6 +539,10 @@ def _case(n, argv, phrase):
           "qq window (2, 1, 1) has an empty or a repeated product"),
     _case(32, ("verify", "all", "--lambda", "1"),
           "qq window (1, 1, 0) has an empty or a repeated product"),
+    # no pinned qq window fits under --lambda-max 1
+    _case(33, ("verify", "qq", "--rank", "2", "--lambda-max", "1"),
+          "suite 'qq' has no check"),
+    _case(34, ("verify", "all", "--lambda-max", "1"), "suite 'qq' has no check"),
 ])
 def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)

@@ -13,10 +13,13 @@ from qserre.oracle import (
     DISTINCT_POINTS, IdealOracle, random_points, randomized_precheck,
     split_homogeneous,
 )
+from qserre.roots import good_words, normal_words
 from reference_echelon import (
     ReferenceOracle, _Echelon, _clear_denominators, _compositions,
-    _multiset_words, _perm_count, chi_e_relations, serre_relations,
+    _letter_counts, _multiset_words, _perm_count, chi_e_relations,
+    serre_relations,
 )
+from reference_phi import full_image_kills
 from reference_rewrite import raw_rules
 
 A2 = x_alphabet(2)
@@ -321,8 +324,9 @@ def _kills(vec, chi, dens=None):
     over its denominator in dens (1 when absent)."""
     qvec = {w: QRat(tuple(p), (dens or {}).get(w, (1,)))
             for w, p in vec.items()}
-    content = oracle_module._content(next(iter(vec)), len(chi))
-    return oracle_module._symmetrizer_kills(qvec, content, chi)
+    content = _letter_counts(next(iter(vec)), len(chi))
+    phi = {CHI2: PHI2, CHI3: PHI_ORACLES[1], CHIE2: PHI_ORACLES[2]}[chi]
+    return phi.block_kills(qvec, content)
 
 
 def _laurent(vec):
@@ -504,6 +508,79 @@ def test_symmetrizer_image_rank_is_the_quotient_dimension(i, max_degree):
                 image.insert(_qrat_vector(_ref_phi({w: {0: 1}}, chi)))
             assert image.rank == (_perm_count(content)
                                   - ech._block(content).rank), content
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_normal_word_walk_agrees_with_the_full_image(data):
+    # members, lone words and near misses, one more word added to a block
+    # of a member; at the proven base and at the precheck's bases 2^j
+    i = data.draw(st.integers(0, len(PHI_ORACLES) - 1))
+    phi, ref = PHI_ORACLES[i], REFERENCES[i]
+    p = _padded_member(data, ref)
+    if p and data.draw(st.booleans()):
+        w = data.draw(st.sampled_from(sorted(p.terms)))
+        c = data.draw(st.sampled_from(COEFFS))
+        p = p + NcPoly.monomial(ref.alphabet, data.draw(st.permutations(w)), c)
+    elif data.draw(st.booleans()):
+        p = _lone_word(data, ref)
+    j = data.draw(st.integers(1, DISTINCT_POINTS))
+    for content, vec in phi.blocks(p):
+        for bits in (None, j):
+            assert phi.block_kills(vec, content, bits) == full_image_kills(
+                vec, content, phi.chi, bits), (content, bits)
+
+
+def _integer_rank(rows):
+    """Exact rank of integer rows, by fraction-free elimination."""
+    rank = 0
+    rows = [r for r in rows if any(r)]
+    while rows:
+        pivot = rows.pop()
+        col = next(k for k, x in enumerate(pivot) if x)
+        reduced = ([pivot[col] * x - r[col] * y for x, y in zip(r, pivot)]
+                   for r in rows)
+        rows = [[x // g for x in r] for r in reduced if (g := math.gcd(*r))]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("i, max_degree", [(0, 6), (1, 5), (2, 4)])
+def test_phi_at_the_normal_words_has_the_quotient_rank(i, max_degree):
+    # Phi(w) for every word w of a block, read at the block's normal words
+    # only and at s = 3, has rank K(m), the count of normal words, which is
+    # also the echelon's quotient dimension.  A specialization cannot raise
+    # a rank, so the generic rank is K(m) as well: an element of Phi's
+    # image that vanishes at every normal word is zero
+    phi, ech = PHI_ORACLES[i], REFERENCES[i]
+    good = good_words(phi.chi)
+    for degree in range(max_degree + 1):
+        for content in _compositions(degree, len(phi.chi)):
+            normal = normal_words(good, content)
+            rows = []
+            for w in _multiset_words(content):
+                image = _ref_phi({w: {0: 1}}, phi.chi)
+                # times s^(degree^2), which clears every negative power
+                rows.append([sum(c * 3 ** (k + degree ** 2)
+                                 for k, c in image.get(v, {}).items())
+                             for v in normal])
+            dim = _perm_count(content) - ech._block(content).rank
+            assert _integer_rank(rows) == len(normal) == dim, content
+
+
+def test_a_dropped_normal_word_lets_a_non_member_pass(monkeypatch):
+    # mutation control: x1 x2 - q x2 x1 is not in the ideal, and Phi of it
+    # vanishes at x1 x2 but not at x2 x1.  Read at the block (1, 1)'s
+    # normal words x1 x2 and x2 x1 it is rejected; with x2 x1 dropped from
+    # the set it passes
+    x1, x2 = gens(A2)
+    p = x1 * x2 - (x2 * x1).scale(Q)
+    assert normal_words(good_words(CHI2), (1, 1)) == [(0, 1), (1, 0)]
+    assert not IdealOracle(A2, serre_braiding).member(p)
+    real = oracle_module.normal_words
+    monkeypatch.setattr(oracle_module, "normal_words", lambda *args: [
+        w for w in real(*args) if w != (1, 0)])
+    assert IdealOracle(A2, serre_braiding).member(p)
 
 
 def test_braiding_tables():
