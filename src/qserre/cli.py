@@ -18,14 +18,12 @@ import argparse
 import json
 import re
 import sys
-from collections import namedtuple
 
 from qserre.exprparse import _TOKEN, parse_expression
 from qserre.rewrite import dump_rules, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import (
     ChiEVerifier, MethodDisagreement, VerificationReport, Verifier,
-    descending_triples, qq_windows,
 )
 
 # per suite, in run order: the lowest rank it runs at and the window
@@ -146,17 +144,33 @@ def cmd_hilbert(args) -> int:
 # suite runner
 # ---------------------------------------------------------------------------
 
-# the run's windows: (lam, mu, nu) triples for telescoping and ayb, (mu,
-# lam) pairs for lemma and far, the factor-order tops and the qq windows
-Windows = namedtuple("Windows", "triples pairs lams qq")
+QQ_WINDOWS = {
+    2: ((2, 1, 0), (3, 1, 0), (3, 2, 0), (3, 2, 1)),
+    3: ((2, 1, 0),),
+}
 
 
-def resolve_windows(args, suites) -> Windows:
-    """The windows of a verify run, the one reader of its window flags.
+def qq_windows(rank: int, lambda_max: int):
+    """Q-commutativity grid: the pinned windows that fit under lambda_max."""
+    return tuple(w for w in QQ_WINDOWS.get(rank, ((2, 1, 0),))
+                 if w[0] <= lambda_max)
 
+
+def descending_triples(top: int):
+    return [(lam, mu, nu)
+            for lam in range(top + 1)
+            for mu in range(lam + 1)
+            for nu in range(mu + 1)]
+
+
+def resolve_windows(args, suites) -> dict:
+    """Each requested suite's grid, the one reader of the window flags.
+
+    Triples (lam, mu, nu) for telescoping and ayb, pairs (mu, lam) for
+    lemma and far, and qq's windows; the other suites have no grid.
     --lambda gives one window, with mu = nu = 0 except qq's mu = 1.
     Otherwise each grid runs up to --lambda-max, or LAMBDA_MAX.  A flag
-    that no requested suite reads is a usage error.
+    that no requested suite reads, or an empty grid, is a usage error.
     """
     read = {flag for s in suites for flag in SUITES[s][1]}
     for flag, value in zip(WINDOWS, (args.lambda_max, args.lam, args.mu, args.nu)):
@@ -167,35 +181,42 @@ def resolve_windows(args, suites) -> Windows:
         if (mu, nu) != (None, None):
             raise ValueError("--mu and --nu need --lambda")
         top = LAMBDA_MAX if args.lambda_max is None else args.lambda_max
-        return Windows(descending_triples(top),
-                       [(m, k) for k in range(top + 1) for m in range(k)],
-                       range(top + 1), qq_windows(args.rank, top))
-    if args.lambda_max is not None:
-        raise ValueError("--lambda-max is not read when --lambda is given")
-    low, nu = mu or 0, nu or 0
-    qq = (lam, 1 if mu is None else mu, nu)
-    # a single window whose products are empty or equal would pass vacuously
-    if low == lam and {"lemma", "far"} & set(suites):
-        raise ValueError("window mu = lam = %d has empty products" % lam)
-    if "qq" in suites and len(set(qq)) < 3:
-        raise ValueError("qq window %s has an empty or a repeated product" % (qq,))
-    return Windows([(lam, low, nu)], [(low, lam)], [lam], [qq])
+        triples = descending_triples(top)
+        pairs = [(m, k) for k in range(top + 1) for m in range(k)]
+        qq = qq_windows(args.rank, top)
+    else:
+        if args.lambda_max is not None:
+            raise ValueError("--lambda-max is not read when --lambda is given")
+        low, nu = mu or 0, nu or 0
+        qq = (lam, 1 if mu is None else mu, nu)
+        # a single window whose products are empty or equal would pass vacuously
+        if low == lam and {"lemma", "far"} & set(suites):
+            raise ValueError("window mu = lam = %d has empty products" % lam)
+        if "qq" in suites and len(set(qq)) < 3:
+            raise ValueError("qq window %s has an empty or a repeated product" % (qq,))
+        triples, pairs, qq = [(lam, low, nu)], [(low, lam)], [qq]
+    grids = {"telescoping": triples, "lemma": pairs, "ayb": triples,
+             "far": pairs, "qq": qq}
+    for s in suites:
+        if s in grids and not grids[s]:
+            raise ValueError("suite %r has no check on the requested grid" % s)
+    return grids
 
 
-def _suite_reports(suite: str, windows: Windows, v: Verifier):
-    """Run one suite's checks over its windows, one after another."""
-    rank = v.rank
+def _suite_reports(suite: str, grids: dict, v: Verifier):
+    """Run one suite's checks over its grid, one after another."""
+    rank, grid = v.rank, grids.get(suite)
     adjacent = range(1, rank)  # n of each adjacent pair (x_n, x_{n+1})
     if suite == "telescoping":
         for gen in v.alphabet.letters:
-            for lam, mu, nu in windows.triples:
+            for lam, mu, nu in grid:
                 yield v.check_telescoping(gen, lam, mu, nu)
-            for lam in windows.lams:
+            for lam in sorted({w[0] for w in grid}):
                 for mu in range(lam + 1):
                     yield v.check_factor_commutation(gen, lam, mu)
     elif suite == "lemma":
         for n in adjacent:
-            for mu, lam in windows.pairs:
+            for mu, lam in grid:
                 for ordering in ("x1_first", "x2_first"):
                     yield v.check_lemma(mu, lam, ordering, n)
     elif suite == "central":
@@ -203,15 +224,15 @@ def _suite_reports(suite: str, windows: Windows, v: Verifier):
             yield v.check_central_c(n=n)
     elif suite == "ayb":
         for n in adjacent:
-            for lam, mu, nu in windows.triples:
+            for lam, mu, nu in grid:
                 yield v.check_ayb(n, lam, mu, nu)
     elif suite == "far":
         for m in range(3, rank + 1):
             for n in range(1, m - 1):
-                for mu, lam in windows.pairs:
+                for mu, lam in grid:
                     yield v.check_far_commutation(m, n, lam, mu)
     elif suite == "qq":
-        for lam, mu, nu in windows.qq:
+        for lam, mu, nu in grid:
             yield v.check_qq(lam, mu, nu)
     elif suite == "chie":
         yield from ChiEVerifier(rank, v.mode).family_reports()
@@ -231,18 +252,13 @@ def cmd_verify(args) -> int:
         low = SUITES[args.suite][0]
         if args.rank < low:
             raise ValueError("suite %r needs rank >= %d" % (args.suite, low))
-    windows = resolve_windows(args, suites)
+    grids = resolve_windows(args, suites)
     if args.dump_rules and all(s in SUITES_WITHOUT_X_RULES for s in suites):
         raise ValueError("--dump-rules names the x rule set, which no "
                          "requested suite uses")
     verifier = Verifier(args.rank, args.mode)
 
-    reports = []
-    for s in suites:
-        got = list(_suite_reports(s, windows, verifier))
-        if not got:
-            raise ValueError("suite %r has no check on the requested grid" % s)
-        reports.extend(got)
+    reports = [r for s in suites for r in _suite_reports(s, grids, verifier)]
     reports.sort(key=VerificationReport.sort_key)
     # the x rules as far as the run completed them
     if args.dump_rules:

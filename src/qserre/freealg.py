@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from qserre.qfield import ONE, QRat, ZERO, q_power, s_power
+from qserre.roots import cartan_matrix
 
 
 class Alphabet:
@@ -401,28 +402,25 @@ def braided_relations(gens, chi) -> list:
 
     At generic q the quantum Serre relations of a Cartan-type chi generate
     the kernel of its quantum symmetrizer, the ideal the oracle decides.
-    A pair i < j with chi(i, j) chi(j, i) = 1 gives "distant", x_j x_i -
-    chi(j, i) x_i x_j; one with chi(i, j) chi(j, i) = chi(i, i)^-1 =
-    chi(j, j)^-1 gives "serre1" and "serre2", u u v - (1 + chi(u, u))
-    chi(u, v) u v u + chi(u, u) chi(u, v)^2 v u u for (u, v) = (x_i, x_j)
-    and (x_j, x_i); any other is a ValueError.  Cubic pairs come first,
-    each kind ordered by (j, i); every label carries n = i + 1, and a
+    roots.cartan_matrix reads chi's Dynkin diagram, and refuses a chi
+    that has none.  A pair i < j with a_ij = 0 gives "distant", x_j x_i -
+    chi(j, i) x_i x_j; one with a_ij = -1 gives "serre1" and "serre2",
+    u u v - (1 + chi(u, u)) chi(u, v) u v u + chi(u, u) chi(u, v)^2 v u u
+    for (u, v) = (x_i, x_j) and (x_j, x_i).  Cubic pairs come first, each
+    kind ordered by (j, i); every label carries n = i + 1, and a
     commutator's m = j + 1 as well.
     """
+    cartan = cartan_matrix(chi)
     cubic, commuting = [], []
     for j, b in enumerate(gens):
         for i, a in enumerate(gens[:j]):
-            both = chi[i][j] + chi[j][i]
-            if both == 0:
+            if cartan[i][j] == 0:
                 commuting.append(((("family", "distant"), ("m", j + 1), ("n", i + 1)),
                                   b * a - (a * b).scale(s_power(chi[j][i]))))
-            elif both == -chi[i][i] == -chi[j][j]:
+            else:
                 for family, u, v, uu, uv in (("serre1", a, b, chi[i][i], chi[i][j]),
                                              ("serre2", b, a, chi[j][j], chi[j][i])):
                     cubic.append(((("family", family), ("n", i + 1)), u * u * v
                                   - (u * v * u).scale((ONE + s_power(uu)) * s_power(uv))
                                   + (v * u * u).scale(s_power(uu + 2 * uv))))
-            else:
-                raise ValueError("chi on %s and %s gives neither a commutator "
-                                 "nor the cubic Serre relations" % (a, b))
     return cubic + commuting

@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from qserre.freealg import Alphabet, NcPoly, add_terms, braided_relations, deg_lex_key
-from qserre.qfield import QRat, _pdivmod_exact, _pmul, _pneg
+from qserre.qfield import QRat, _order, _pdivmod_exact, _pmul, _pneg
 
 # lhs word -> rhs, a tuple of (word, Laurent coefficient) pairs whose words
 # are deg-lex smaller and as long as lhs
@@ -59,11 +59,7 @@ def _laurent_over(c):
     s^shift * sum(ints[i] s^i), with both end entries nonzero.
     """
     num, den = c.num, c.den
-    k = lo = 0
-    while not den[k]:
-        k += 1
-    while not num[lo]:
-        lo += 1
+    k, lo = _order(den), _order(num)
     return den[k:], (lo - k, num[lo:])
 
 

@@ -1,15 +1,16 @@
 """Root data of a braiding's Dynkin diagram: the normal words of a block.
 
-chi's Cartan matrix has a_ij = -1 where chi(i, j) chi(j, i) != 1, the
-split freealg.braided_relations makes, and 0 elsewhere off the diagonal.
-Its positive roots fix the dimension of each letter-count block m of the
-quotient: the Kostant count K(m) of multisets of roots summing to m.
-Words compare lexicographically with x1 > x2 > ..., a proper prefix
-smaller.  A root's good word follows Leclerc's recursion (Math. Z. 246,
-2004): l(alpha_i) = x_i, and l(beta) is the largest l(b1) l(b2) over
-roots b1 + b2 = beta with l(b1) < l(b2).  The K(m) normal words of a
-block are the nonincreasing products of good words.  Nothing here reads
-a relation, a rule or the oracle.
+cartan_matrix is the one reader of chi's Dynkin diagram: a_ij = 0 where
+chi(i, j) chi(j, i) = 1, a_ij = -1 where it is chi(i, i)^-1 = chi(j, j)^-1,
+and any other chi is refused.  freealg.braided_relations writes the
+defining relations from it.  Its positive roots fix the dimension of
+each letter-count block m of the quotient: the Kostant count K(m) of
+multisets of roots summing to m.  Words compare lexicographically with
+x1 > x2 > ..., a proper prefix smaller.  A root's good word follows
+Leclerc's recursion (Math. Z. 246, 2004): l(alpha_i) = x_i, and l(beta)
+is the largest l(b1) l(b2) over roots b1 + b2 = beta with l(b1) <
+l(b2).  The K(m) normal words of a block are the nonincreasing products
+of good words.  Nothing here reads a relation, a rule or the oracle.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ import random
 
 import pytest
 
+from qserre.cli import descending_triples, qq_windows
 from qserre.qfield import ONE, Q, QRat
-from qserre.freealg import NcPoly
+from qserre.freealg import NcPoly, k_element
 from qserre.rewrite import complete, normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
-from qserre.verify import ChiEVerifier, Verifier, descending_triples, qq_windows
+from qserre.verify import ChiEVerifier, Verifier
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle, serre_relations
 from reference_rewrite import critical_pair_residuals, raw_rules
@@ -52,8 +53,13 @@ def test_criterion_1_lemma_suite(v2):
 
 def test_criterion_2_centrality(v2):
     good = v2.check_central_c()
-    mutant = v2.check_central_c(element="k")
-    ok = good.passed and good.residual.is_zero and not mutant.passed
+    # the mutation control: k is c with the q dropped, and commutes with
+    # neither x1 nor x2
+    k = k_element(v2.alphabet)
+    mutants = [v2.decide("central", (("element", "k"), ("with", g)), k * x - x * k)
+               for g in ("x1", "x2") for x in [NcPoly.generator(v2.alphabet, g)]]
+    ok = (good.passed and good.residual.is_zero
+          and not any(r.passed for r in mutants))
     _report(2, ok, "c commutes with x1 and x2; the k mutation fails")
 
 
@@ -72,7 +78,7 @@ def test_criterion_3_ayb_suite(v2, v3):
 
 
 def test_criterion_4_qq_commutativity(v2, v3):
-    reports = [v2.check_qq(lam, mu, nu) for lam, mu, nu in qq_windows(2)]
+    reports = [v2.check_qq(lam, mu, nu) for lam, mu, nu in qq_windows(2, 3)]
     reports.append(v3.check_qq(2, 1, 0))
     ok = all(r.passed and r.residual.is_zero for r in reports)
     # the (2,1,0) rank-2 case must carry the oracle cross-check (slices <= 6)

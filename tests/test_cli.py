@@ -548,6 +548,18 @@ def test_bad_input_exits_2(capsys, argv, phrase):
     _one_error_line(*run(capsys, *argv), 2, phrase)
 
 
+def test_an_empty_grid_exits_before_any_check_runs(capsys, monkeypatch):
+    # every grid is resolved first, so the suites before qq run no check
+    from qserre.verify import Verifier
+    calls = []
+    for name in [a for a in vars(Verifier) if a.startswith("check_")]:
+        monkeypatch.setattr(Verifier, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    got = run(capsys, "verify", "all", "--rank", "4", "--lambda-max", "1")
+    _one_error_line(*got, 2, "suite 'qq' has no check on the requested grid")
+    assert calls == []
+
+
 @pytest.mark.parametrize("text", [
     "(x1+x2)^30", "(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)"
     "(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)(x1+x2)", "x1^1000000000",

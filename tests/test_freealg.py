@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+import qserre.freealg as freealg_module
 from qserre.qfield import ONE, Q, QRat, S, ZERO, q_power
 from qserre.freealg import (
     NcPoly, SpectralWindow, add_terms, ayb_sides, big_Q, braided_relations,
     c_element, chi_e_alphabet, chi_e_braiding, k_element, lemma_product,
     mul_terms, qproduct, serre_braiding, x_alphabet,
 )
+from qserre.oracle import IdealOracle
+from qserre.rewrite import braided_rules
 from reference_echelon import chi_e_relations, serre_relations
 
 A2 = x_alphabet(2)
@@ -331,11 +334,29 @@ def test_chi_e_relations_are_the_written_out_list():
     assert [r.terms for r in chi_e_relations(a)] == list(CHI_E2)
 
 
+def test_the_relations_follow_roots_cartan_matrix(monkeypatch):
+    # chi's diagram has one reader: a matrix that marks x1, x2 as
+    # commuting makes the writer give their commutator, not serre1, serre2
+    monkeypatch.setattr(freealg_module, "cartan_matrix",
+                        lambda chi: [[2, 0], [0, 2]])
+    x1, x2 = gen(A2, "x1"), gen(A2, "x2")
+    assert written(A2, serre_braiding) == [
+        ((("family", "distant"), ("m", 2), ("n", 1)),
+         x2 * x1 - (x1 * x2).scale(q_power(-1)))]
+
+
 @pytest.mark.parametrize("chi", [
     ((2, 0), (-4, 2)),  # Cartan entry -2: chi(1, 2) chi(2, 1) = q^-2
     ((4, 0), (-2, 2)),  # chi(1, 2) chi(2, 1) = chi(2, 2)^-1 but not chi(1, 1)^-1
     ((2, 1), (0, 2)),   # chi(1, 2) chi(2, 1) = s
 ])
 def test_a_pair_of_neither_kind_is_refused(chi):
-    with pytest.raises(ValueError, match="chi on x1 and x2 gives neither"):
+    # rewriting's relations and the oracle's normal words both read the
+    # diagram from roots.cartan_matrix, so both refuse with its message
+    refused = "chi on letters 1 and 2 is not of Cartan type"
+    with pytest.raises(ValueError, match=refused):
         braided_relations([gen(A2, "x1"), gen(A2, "x2")], chi)
+    with pytest.raises(ValueError, match=refused):
+        braided_rules(A2, lambda alphabet: chi)
+    with pytest.raises(ValueError, match=refused):
+        IdealOracle(A2, lambda alphabet: chi)

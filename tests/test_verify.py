@@ -5,11 +5,10 @@ import pytest
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
 from qserre.qfield import ONE, Q, QRat, q_power
-from qserre.freealg import NcPoly, SpectralWindow, qproduct, x_alphabet
+from qserre.cli import descending_triples, qq_windows
+from qserre.freealg import NcPoly, SpectralWindow, k_element, qproduct, x_alphabet
 from qserre.rewrite import complete, dump_rules
-from qserre.verify import (
-    ChiEVerifier, Decider, Verifier, descending_triples, qq_windows,
-)
+from qserre.verify import ChiEVerifier, Decider, Verifier
 from reference_echelon import ReferenceOracle, chi_e_relations, serre_relations
 from reference_rewrite import raw_rules
 
@@ -71,15 +70,26 @@ def test_central_c(v2):
     assert r.passed and r.residual.is_zero
 
 
+def k_commutators(v, n=1):
+    """[k, x_n] and [k, x_{n+1}] decided: check_central_c's mutation control.
+
+    k is c with the q dropped, and is not central, so both must fail.
+    """
+    k = k_element(v.alphabet, n)
+    return [v.decide("central", (("element", "k"), ("with", g)), k * x - x * k)
+            for g in ("x%d" % n, "x%d" % (n + 1))
+            for x in [NcPoly.generator(v.alphabet, g)]]
+
+
 def test_central_mutation_k_fails(v2):
-    r = v2.check_central_c(element="k")
-    assert not r.passed
-    assert not r.residual.is_zero
+    for r in k_commutators(v2):
+        assert not r.passed
+        assert not r.residual.is_zero
 
 
 def test_central_relabeled_pair(v3):
     assert v3.check_central_c(n=2).passed
-    assert not v3.check_central_c(element="k", n=2).passed
+    assert not any(r.passed for r in k_commutators(v3, n=2))
 
 
 def test_lemma_relabeled_pair(v3):
@@ -114,7 +124,7 @@ def test_far_commutation(v3):
 
 
 def test_qq_rank2(v2):
-    for lam, mu, nu in qq_windows(2):
+    for lam, mu, nu in qq_windows(2, 3):
         r = v2.check_qq(lam, mu, nu)
         assert r.passed, (lam, mu, nu)
         assert r.residual.is_zero
@@ -173,7 +183,7 @@ def test_high_degree_failure_reports_fail_not_disagreement(v2):
 def test_oracle_only_mode_small():
     v = Verifier(2, mode="oracle")
     assert v.check_lemma(0, 2, "x1_first").passed
-    assert not v.check_central_c(element="k").passed
+    assert not any(r.passed for r in k_commutators(v))
 
 
 def test_rewrite_only_mode():
@@ -310,7 +320,7 @@ def test_mutant_c_element_not_central(v2):
 def test_lemma_factors_commute_modulo_ideal(v2):
     # each factor is a polynomial in x1+x2+k q^e and the central c, so any
     # two of them commute once the relations are imposed
-    from qserre.freealg import c_element, k_element
+    from qserre.freealg import c_element
     a = v2.alphabet
     x1, x2 = (NcPoly.generator(a, g) for g in ("x1", "x2"))
     k, c = k_element(a), c_element(a)
