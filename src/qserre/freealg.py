@@ -311,9 +311,10 @@ def k_element(alphabet: Alphabet, n: int = 1) -> NcPoly:
 
 
 def c_element(alphabet: Alphabet, n: int = 1) -> NcPoly:
-    """c = (x_n x_{n+1} - x_{n+1} x_n q) / (1 - q); central modulo the ideal."""
+    """c = (x_n x_{n+1} - x_{n+1} x_n q) / (1 - q), which is exactly
+    k + x_{n+1} x_n; central modulo the ideal."""
     lo, hi = _adjacent_pair(alphabet, n)
-    return (lo * hi - (hi * lo).scale(q_power(1))).scale(ONE / (ONE - q_power(1)))
+    return k_element(alphabet, n) + hi * lo
 
 
 def lemma_product(alphabet: Alphabet, window: SpectralWindow,
@@ -326,7 +327,7 @@ def lemma_product(alphabet: Alphabet, window: SpectralWindow,
     """
     lo, hi = _adjacent_pair(alphabet, n)
     k = k_element(alphabet, n)
-    c = c_element(alphabet, n)
+    c = k + hi * lo  # c_element, from the k already built
     core = lo + hi + k.scale(q_power(e))
     out = NcPoly.unit(alphabet)
     for j in range(window.mu, window.lam):

@@ -58,20 +58,11 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _content(a):
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
 def _primitive(a):
     """Primitive part with positive leading coefficient."""
     if not a:
         return ()
-    g = _content(a)
+    g = _int_gcd(*a)
     if a[-1] < 0:
         g = -g
     if g == 1:
@@ -392,7 +383,7 @@ def _unit_normalize(n, d):
 
     n must be nonzero, and n and d must share no polynomial factor.
     """
-    cg = _int_gcd(_content(n), _content(d))
+    cg = _int_gcd(*n, *d)
     if d[-1] < 0:
         cg = -cg
     if cg != 1:
@@ -424,21 +415,19 @@ def _henrici_sum(a, b, c, d):
     return QRat._raw(*_unit_normalize(t, _pmul(_pmul(bg, dg), g)))
 
 
-ZERO = QRat(0)
-ONE = QRat(1)
-S = QRat((0, 1))
-Q = QRat((0, 0, 1))
-
-
-def q_power(k: int) -> QRat:
-    """q^k as a field element, any integer k (q = s^2)."""
-    if k >= 0:
-        return QRat._raw((0,) * (2 * k) + (1,), (1,))
-    return QRat._raw((1,), (0,) * (-2 * k) + (1,))
-
-
 def s_power(k: int) -> QRat:
     """s^k, i.e. q^(k/2), any integer k."""
     if k >= 0:
         return QRat._raw((0,) * k + (1,), (1,))
     return QRat._raw((1,), (0,) * (-k) + (1,))
+
+
+def q_power(k: int) -> QRat:
+    """q^k as a field element, any integer k (q = s^2)."""
+    return s_power(2 * k)
+
+
+ZERO = QRat(0)
+ONE = QRat(1)
+S = s_power(1)
+Q = q_power(1)

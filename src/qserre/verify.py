@@ -150,9 +150,7 @@ class Decider:
                 raise MethodDisagreement(
                     "%s %s: rewrite and oracle disagree" % (identity, params))
 
-        millis = (time.perf_counter() - t0) * 1000.0
-        return VerificationReport(identity, tuple(params), in_ideal, residual,
-                                  tuple(methods), millis, tuple(notes))
+        return _report(identity, params, in_ideal, residual, methods, t0, notes)
 
 
 class Verifier(Decider):
@@ -164,12 +162,6 @@ class Verifier(Decider):
     # the name bench/layertrace.py traces, bound in this class's own dict
     decide = Decider.decide
 
-    @staticmethod
-    def _expansion_report(identity, params, diff, t0):
-        millis = (time.perf_counter() - t0) * 1000.0
-        return VerificationReport(identity, tuple(params), diff.is_zero, diff,
-                                  ("expand",), millis)
-
     def check_telescoping(self, gen: str, lam: int, mu: int, nu: int) -> VerificationReport:
         """Window splitting holds identically, before any relations."""
         if not lam >= mu >= nu:
@@ -179,7 +171,8 @@ class Verifier(Decider):
         split = (qproduct(self.alphabet, gen, SpectralWindow(lam, mu))
                  * qproduct(self.alphabet, gen, SpectralWindow(mu, nu)))
         params = (("gen", gen), ("lam", lam), ("mu", mu), ("nu", nu))
-        return self._expansion_report("telescoping", params, whole - split, t0)
+        diff = whole - split
+        return _report("telescoping", params, diff.is_zero, diff, ("expand",), t0)
 
     def check_factor_commutation(self, gen: str, lam: int, mu: int) -> VerificationReport:
         """Ascending and descending factor order agree in the free algebra."""
@@ -190,7 +183,8 @@ class Verifier(Decider):
         for j in range(lam - 1, mu - 1, -1):
             rev = rev * (NcPoly.unit(self.alphabet) - x.scale(q_power(j)))
         params = (("gen", gen), ("lam", lam), ("mu", mu))
-        return self._expansion_report("factor-order", params, fwd - rev, t0)
+        diff = fwd - rev
+        return _report("factor-order", params, diff.is_zero, diff, ("expand",), t0)
 
     def check_lemma(self, mu: int, lam: int, ordering: str, n: int = 1) -> VerificationReport:
         """Ordered pair products match the mixed product with k and c."""
@@ -284,7 +278,12 @@ def _combined(identity, params, reports, t0, notes=()):
         raise ValueError("%s %s has no check to combine" % (identity, params))
     residual = next((r.residual for r in reports if not r.residual.is_zero),
                     reports[0].residual)
-    methods = reports[0].methods
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(identity, params, all(r.passed for r in reports),
-                              residual, methods, millis, notes)
+    return _report(identity, params, all(r.passed for r in reports), residual,
+                   reports[0].methods, t0, notes)
+
+
+def _report(identity, params, passed, residual, methods, t0, notes=()):
+    """The one constructor of a VerificationReport; millis is the time since t0."""
+    return VerificationReport(identity, tuple(params), passed, residual,
+                              tuple(methods), (time.perf_counter() - t0) * 1000.0,
+                              tuple(notes))

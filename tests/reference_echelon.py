@@ -21,8 +21,8 @@ from math import factorial, gcd as _int_gcd
 from qserre.freealg import NcPoly
 from qserre.oracle import split_homogeneous
 from qserre.qfield import (
-    ONE, _content as _int_content, _padd, _pdivmod_exact, _pgcd, _pmul,
-    _pneg, _primitive, q_power, s_power,
+    ONE, _padd, _pdivmod_exact, _pgcd, _pmul, _pneg, _primitive, q_power,
+    s_power,
 )
 
 
@@ -101,7 +101,7 @@ class _Echelon:
             g = _pgcd(a, b)
             if len(g) > 1:
                 a, b = _pdivmod_exact(a, g), _pdivmod_exact(b, g)
-            k = _int_gcd(_int_content(a), _int_content(b))
+            k = _int_gcd(*a, *b)
             if k != 1:
                 a, b = tuple(c // k for c in a), tuple(c // k for c in b)
             # vec <- b * vec - a * row, which cancels the lead word
@@ -165,7 +165,7 @@ def _strip_integer_content(vec):
     """Divide an integer-polynomial vector by its integer content."""
     k = 0
     for v in vec.values():
-        k = _int_gcd(k, _int_content(v))
+        k = _int_gcd(k, *v)
         if k == 1:
             return vec
     if k > 1:

@@ -105,6 +105,15 @@ def test_k_c_relations():
     assert k.scale(ONE - Q) == x1 * x2 - x2 * x1
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_c_element_is_its_defining_quotient(rank):
+    # c is built as k + x_{n+1} x_n; its definition, written out, pins it
+    a = x_alphabet(rank)
+    for n in range(1, rank):
+        lo, hi = gen(a, "x%d" % n), gen(a, "x%d" % (n + 1))
+        assert c_element(a, n) == (lo * hi - (hi * lo).scale(Q)).scale(ONE / (ONE - Q))
+
+
 def test_lemma_product_width_one_is_free_identity():
     x1, x2 = gen(A2, "x1"), gen(A2, "x2")
     for mu in range(3):

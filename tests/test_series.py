@@ -145,9 +145,33 @@ def test_ratio_identity_refuses_a_perturbed_series(monkeypatch):
         return s
 
     monkeypatch.setattr(series, "ratio_series", perturbed)
-    reports = check_ratio_identity(((0, 1), (0, 2), (1, 3)), 6)
+    windows = ((0, 1), (0, 2), (1, 3))
+    reports = check_ratio_identity(windows, 6)
     assert not any(r.passed for r in reports)
     assert all(not r.residual.is_zero for r in reports)
+    # the residual holds exactly the words whose values differ, compared in
+    # the field: the words whose cross-multiplied numerators differ
+    bad = perturbed(A1, "x1", L, M, 6)
+    for (mu, lam), r in zip(windows, reports):
+        got = at_powers(bad, A1, (mu, lam, 0))
+        want = _truncated(qproduct(A1, "x1", SpectralWindow(lam, mu)), 6)
+        differ = [w for w in got.terms.keys() | want.terms.keys()
+                  if got.coefficient(w) != want.coefficient(w)]
+        assert r.residual_terms == len(differ) > 0, (mu, lam)
+
+
+def test_both_series_suites_compare_through_one_window_residual(v2, monkeypatch):
+    windows = []
+    real = series._window_residual
+    monkeypatch.setattr(series, "_window_residual",
+                        lambda common, k, poly: windows.append(k) or real(common, k, poly))
+    check_ratio_identity(((0, 1), (0, 2), (1, 3)), 6)
+    assert windows == [(0, 1, 0), (0, 2, 0), (1, 3, 0)]
+    windows.clear()
+    [r] = check_ayb_formal(v2, 3)
+    assert r.passed
+    # each integer window compares both sides
+    assert windows == [k for k in ((2, 1, 0), (3, 2, 1), (3, 1, 0)) for _ in "lr"]
 
 
 def test_ratio_series_matches_qproduct_directly():
@@ -284,6 +308,25 @@ def test_integer_windows_catch_a_numerator_that_keeps_every_denominator(
     [r] = check_ayb_formal(v2, 4)
     assert not r.passed
     assert "integer specialization mismatch" in r.notes
+
+
+def test_an_integer_mismatch_alone_fails_with_its_window_residual(v2, monkeypatch):
+    # one word added to both sides leaves every decided coefficient as it
+    # was; only the integer windows see it, and the report's residual is the
+    # first mismatching window's
+    real = series.formal_ayb_sides
+    word = (0, 1, 0)  # x1 x2 x1
+
+    def perturbed(alphabet, n, cutoff):
+        extra = NcPoly.monomial(alphabet, word)
+        return tuple({**side, (1, 0, 0): side[(1, 0, 0)] + extra}
+                     for side in real(alphabet, n, cutoff))
+
+    monkeypatch.setattr(series, "formal_ayb_sides", perturbed)
+    [r] = check_ayb_formal(v2, 4)
+    assert not r.passed
+    assert "integer specialization mismatch" in r.notes
+    assert r.residual.terms.keys() == {word}
 
 
 def test_truncation_drops_overflow():
