@@ -14,12 +14,13 @@ LETTER is any generator of the active alphabet (x1, chi2, e1, ...).
 Division only by scalars, exponents only nonnegative; everything the
 canonical printer emits re-parses to an equal polynomial.
 
-The text is split into tokens by one regex scan.  Values are plain term
-maps, word -> nonzero QRat, not NcPolys, and every sum and product of
-them goes through freealg's kernels, add_terms and mul_terms; a division
-divides each coefficient by a scalar, a power is a repeated product and
-a form takes the terms of the element it names.  Only the finished
-value is wrapped in an NcPoly.
+The text is split into tokens by one regex scan, and a token's place is
+found only for the ParseError that names it.  A one-term value is a
+(word, coefficient) pair, any other a term map, word -> nonzero QRat.  A
+term is kept as p * (c * word): a one-term factor folds into c and word,
+a division divides c and a power of one term is (word * n, c ** n).  Only
+a factor of several terms, or none, is multiplied into p, by freealg's
+mul_terms; sums go through add_terms, and only the result is an NcPoly.
 """
 
 from __future__ import annotations
@@ -40,19 +41,8 @@ class ParseError(ValueError):
 
 
 # integer, name, operator or punctuation, and any other visible character
-_TOKEN = re.compile(r"(\d+)|([A-Za-z]+\d*)|([()+\-*/^;,])|(\S)")
-
-
-def _tokenize(text):
-    out = []
-    for m in _TOKEN.finditer(text):
-        group, tok = m.lastindex, m.group()
-        if group == 4:
-            raise ParseError("unexpected character %r" % tok, m.start())
-        out.append(("int" if group == 1 else "name" if group == 2 else tok,
-                    tok, m.start()))
-    out.append(("end", "", len(text)))
-    return out
+_TOKEN = re.compile(r"\d+|[A-Za-z]+\d*|[()+\-*/^;,]")
+_BAD = re.compile(r"[^\s\dA-Za-z()+\-*/^;,]")
 
 
 # Caps on what a text may expand to, each checked before the value is
@@ -75,131 +65,150 @@ MAX_WIDTH = 1024
 MAX_DEPTH = 100
 
 
-def _product(a, b, pos):
-    if len(a) * len(b) > MAX_TERMS:
-        raise ParseError("a product of %d by %d terms passes the cap of %d "
-                         "terms" % (len(a), len(b), MAX_TERMS), pos)
-    return mul_terms({}, a, b)
+def _one(p):
+    """The term map p as a (word, coefficient) pair if it has one term."""
+    return next(iter(p.items())) if len(p) == 1 else p
 
 
-def _divide(p, r, pos):
-    if not r:
-        raise ParseError("division by zero", pos)
-    if len(r) > 1 or () not in r:
-        raise ParseError("division only by scalar expressions", pos)
-    c = r[()]
-    return {w: x / c for w, x in p.items()}
+def _times(p, c, word):
+    """The term map p * (c * word), c nonzero."""
+    w = tuple(word)
+    return {u + w: c if x is ONE else x if c is ONE else x * c for u, x in p.items()}
 
 
 class _Parser:
     def __init__(self, text, alphabet: Alphabet, rank=None):
-        self.tokens = _tokenize(text)
+        bad = _BAD.search(text)
+        if bad:
+            raise ParseError("unexpected character %r" % bad.group(), bad.start())
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]  # "" is the end
         self.i = self.depth = 0
         self.alphabet = alphabet
+        # the one-term value of each name that is not a form
+        self.names = {name: ((k,), ONE) for k, name in enumerate(alphabet.letters)}
+        self.names.update(q=((), Q), s=((), S))
         self.rank = rank if rank is not None else len(alphabet.letters)
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message, i) -> ParseError:
+        """A ParseError at token i, placed by a second scan of the text."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return ParseError(message, (starts + [len(self.text)])[i])
 
     def expect(self, kind):
-        k, tok, pos = self.next()
-        if k != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok or "end"), pos)
+        i, tok = self.i, self.tokens[self.i]
+        self.i += 1
+        if ("int" if tok.isdigit() else "name" if tok.isalnum() else tok) != kind:
+            raise self.error("expected %r, found %r" % (kind, tok or "end"), i)
         return tok
 
     def count(self, what) -> int:
-        pos = self.peek()[2]
+        i = self.i
         n = int(self.expect("int"))
         if n > MAX_EXPONENT:
-            raise ParseError("%s %d passes the cap of %d"
-                             % (what, n, MAX_EXPONENT), pos)
+            raise self.error("%s %d passes the cap of %d" % (what, n, MAX_EXPONENT), i)
         return n
+
+    def product(self, a, b, i) -> dict:
+        """The term map a * b, refused at token i past the term cap."""
+        if len(a) * len(b) > MAX_TERMS:
+            raise self.error("a product of %d by %d terms passes the cap of "
+                             "%d terms" % (len(a), len(b), MAX_TERMS), i)
+        return mul_terms({}, a, b)
 
     def parse(self) -> dict:
         p = self.expr()
-        k, tok, pos = self.peek()
-        if k != "end":
-            raise ParseError("trailing input %r" % tok, pos)
+        if self.tokens[self.i]:
+            raise self.error("trailing input %r" % self.tokens[self.i], self.i)
         return p
 
     def expr(self):
-        p, op = {}, "+"
-        if self.peek()[0] == "-":
-            op = self.next()[0]
+        toks, p, op = self.tokens, {}, "+"
+        if toks[self.i] == "-":
+            op, self.i = "-", self.i + 1
         while True:
             add_terms(p, self.term().items(), op == "-")
-            if self.peek()[0] not in ("+", "-"):
+            op = toks[self.i]
+            if op not in ("+", "-"):
                 return p
-            op = self.next()[0]
+            self.i += 1
 
     def term(self):
-        p = self.factor()
+        toks, r = self.tokens, self.factor()
+        p, c, word = ({(): ONE}, r[1], [*r[0]]) if type(r) is tuple else (r, ONE, [])
         while True:
-            k = self.peek()[0]
-            if k in ("*", "/"):
-                self.next()
-            elif k not in ("int", "name", "("):
-                return p
-            pos = self.peek()[2]
+            op = toks[self.i]
+            if op in ("*", "/"):
+                self.i += 1
+            elif op != "(" and not op.isalnum():
+                return _times(p, c, word)
+            i = self.i
             r = self.factor()
-            p = _divide(p, r, pos) if k == "/" else _product(p, r, pos)
+            if op == "/":
+                if type(r) is dict or r[0]:
+                    raise self.error("division only by scalar expressions"
+                                     if r else "division by zero", i)
+                c /= r[1]
+            elif type(r) is tuple:
+                if len(p) > MAX_TERMS:  # refused, as the product by r is
+                    self.product(p, dict((r,)), i)
+                word += r[0]
+                if r[1] is not ONE:
+                    c = r[1] if c is ONE else c * r[1]
+            else:
+                p, c, word = self.product(_times(p, c, word), r, i), ONE, []
 
     def factor(self):
         p = self.primary()
-        if self.peek()[0] == "^":
-            self.next()
-            k, _, pos = self.peek()
-            if k != "int":
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            n = self.count("exponent")
-            width = max((max(len(w), len(c.num), len(c.den))
-                         for w, c in p.items()), default=0)
-            if n * width > MAX_WIDTH:
-                raise ParseError("exponent %d on a base of width %d passes the "
-                                 "cap of %d" % (n, width, MAX_WIDTH), pos)
-            base, p = p, {(): ONE}
-            for _ in range(n):
-                p = _product(p, base, pos)
-        return p
+        if self.tokens[self.i] != "^":
+            return p
+        i = self.i = self.i + 1
+        if not self.tokens[i].isdigit():
+            raise self.error("exponent must be a nonnegative integer", i)
+        n = self.count("exponent")
+        terms = (p,) if type(p) is tuple else p.items()
+        width = max((max(len(w), len(c.num), len(c.den)) for w, c in terms),
+                    default=0)
+        if n * width > MAX_WIDTH:
+            raise self.error("exponent %d on a base of width %d passes the "
+                             "cap of %d" % (n, width, MAX_WIDTH), i)
+        if type(p) is tuple:
+            w, c = p
+            return w * n, c if c is ONE else c ** n
+        base, p = p, {(): ONE}
+        for _ in range(n):
+            p = self.product(p, base, i)
+        return _one(p)
 
     def primary(self):
-        k, tok, pos = self.next()
-        if k == "int":
+        i, tok = self.i, self.tokens[self.i]
+        self.i += 1
+        if tok in self.names:
+            return self.names[tok]
+        if tok.isdigit():
             n = int(tok)
-            return {(): ONE if n == 1 else QRat(n)} if n else {}
-        if k == "(":
+            return ((), ONE if n == 1 else QRat(n)) if n else {}
+        if tok == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError("a nesting depth of %d passes the cap of %d"
-                                 % (MAX_DEPTH + 1, MAX_DEPTH), pos)
+                raise self.error("a nesting depth of %d passes the cap of %d"
+                                 % (MAX_DEPTH + 1, MAX_DEPTH), i)
             self.depth += 1
             p = self.expr()
             self.expect(")")
             self.depth -= 1
-            return p
-        if k == "name":
-            if tok == "q":
-                return {(): Q}
-            if tok == "s":
-                return {(): S}
-            if tok in ("P", "K", "C", "Q") and self.peek()[0] == "(":
-                return self.form(tok, pos).terms
-            try:
-                return {(self.alphabet.index(tok),): ONE}
-            except KeyError:
-                raise ParseError("unknown name %r" % tok, pos) from None
-        raise ParseError("unexpected token %r" % (tok or "end"), pos)
+            return _one(p)
+        if tok in ("P", "K", "C", "Q") and self.tokens[self.i] == "(":
+            return _one(self.form(tok, i).terms)
+        if tok.isalnum():
+            raise self.error("unknown name %r" % tok, i)
+        raise self.error("unexpected token %r" % (tok or "end"), i)
 
-    def form(self, head, pos) -> NcPoly:
+    def form(self, head, i) -> NcPoly:
         self.expect("(")
         if head == "P":
             gen = self.expect("name")
             if gen not in self.alphabet.letters:
-                raise ParseError("unknown generator %r" % gen, pos)
+                raise self.error("unknown generator %r" % gen, i)
             self.expect(";")
             mu = self.count("window integer")
             self.expect(",")
@@ -208,20 +217,20 @@ class _Parser:
             try:
                 return qproduct(self.alphabet, gen, SpectralWindow(lam, mu))
             except ValueError as err:
-                raise ParseError(str(err), pos) from None
+                raise self.error(str(err), i) from None
         if head in ("K", "C"):
             self.expect(")")
             builder = k_element if head == "K" else c_element
             try:
                 return builder(self.alphabet)
             except KeyError:
-                raise ParseError("%s() needs the rank-2 x generators" % head,
-                                 pos) from None
+                raise self.error("%s() needs the rank-2 x generators" % head,
+                                 i) from None
         # Q(lambda) or Q(lambda, nu)
         lam = self.count("window integer")
         nu = 0
-        if self.peek()[0] == ",":
-            self.next()
+        if self.tokens[self.i] == ",":
+            self.i += 1
             nu = self.count("window integer")
         self.expect(")")
         try:
@@ -232,9 +241,9 @@ class _Parser:
                                  % (lam, nu, self.rank, MAX_TERMS))
             return big_Q(self.alphabet, self.rank, window)
         except ValueError as err:
-            raise ParseError(str(err), pos) from None
+            raise self.error(str(err), i) from None
         except KeyError:
-            raise ParseError("Q() needs the x generators", pos) from None
+            raise self.error("Q() needs the x generators", i) from None
 
 
 def parse_expression(text: str, alphabet: Alphabet, rank=None) -> NcPoly:

@@ -62,6 +62,9 @@ class IdealOracle:
     def __init__(self, alphabet: Alphabet, braiding):
         self.alphabet = alphabet
         self.chi = braiding(alphabet)
+        # block_kills' letter width in a packed word, and its lift
+        self._width = max(1, (len(self.chi) - 1).bit_length())
+        self._lift = max(0, -min(min(row) for row in self.chi))
         self._good = good_words(self.chi)
         self._tries, self._products = {}, {}
 
@@ -131,12 +134,10 @@ class IdealOracle:
                     for d in dens}
         # a word is packed into one int, letter i in bits width*i.., so that
         # dict keys hash cheaply and a removal is integer arithmetic
-        chi = self.chi
-        width = max(1, (len(chi) - 1).bit_length())
+        chi, width, lift = self.chi, self._width, self._lift
         mask = (1 << width) - 1
         packed = {sum(letter << width * i for i, letter in enumerate(w)):
                   at_x(c.num) * cofactor[c.den] for w, c in vec.items()}
-        lift = max(0, -min(min(row) for row in chi))
 
         def derive(vec, b, length):
             """d_b of vec, packed words of one length -> ints, lifted."""

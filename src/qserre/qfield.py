@@ -199,18 +199,18 @@ class QRat:
                 raise ZeroDivisionError("division by zero in Q(s)")
             n, d = _pmul(n, dd), _pmul(d, dn)
         n, d = _normalize(n, d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_num(self, n)
+        _set_den(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("QRat is immutable")
 
     @classmethod
     def _raw(cls, n, d):
-        """Construct from pre-normalized coefficient tuples."""
+        """Construct from pre-normalized tuples, by the slots' own setters."""
         self = object.__new__(cls)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_num(self, n)
+        _set_den(self, d)
         return self
 
     def _inverse_parts(self):
@@ -311,9 +311,9 @@ class QRat:
         out, base = ONE, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is ONE else out * base  # no product by ONE
             k >>= 1
+            base = base * base if k else base  # no square past the top bit
         return out
 
     # -- comparisons ---------------------------------------------------------
@@ -337,6 +337,9 @@ class QRat:
         if d == (1,):
             return _poly_str(n)
         return "%s/%s" % (_wrap(_poly_str(n)), _wrap(_poly_str(d)))
+
+
+_set_num, _set_den = QRat.num.__set__, QRat.den.__set__
 
 
 def _wrap(txt):
