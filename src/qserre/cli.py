@@ -3,19 +3,21 @@
 Exit codes: 0 when every requested check passes, 1 when at least one
 identity fails, 2 for usage or configuration errors (any ValueError,
 such as a bad rank, an empty grid, an unwritable --dump-rules path or
-a parse error), 3 when rewriting and the oracle disagree: an engine bug.
-Rule sets come only from completing the defining relations, and every
-command takes them from a Decider's rules_for, which completes them to
-max(8, the largest degree reduced); a verify run that never rewrites
-completes nothing.  Output is deterministic for a fixed configuration;
-structured mode emits one JSON record per check (the millis field is
-wall time and is the one field that varies between runs).
+a parse error), 3 when rewriting and the oracle disagree: an engine bug,
+and 141 (128 + SIGPIPE) when stdout closes early, as under `| head -1`,
+with nothing on stderr.  Rule sets come only from completing the
+defining relations, and every command takes a Decider's rules, which
+the normal-word count certifies in every degree; a verify run that
+never rewrites completes nothing.  Output is deterministic for a fixed
+configuration; structured mode emits one JSON record per check (the
+millis field is wall time and is the one field that varies between runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -85,12 +87,15 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {"normal-form": cmd_normal_form, "verify": cmd_verify,
+               "hilbert": cmd_hilbert}[args.command]
     try:
-        if args.command == "normal-form":
-            return cmd_normal_form(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_hilbert(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # and at exit, flush to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except MethodDisagreement as err:
         print("error: engine bug: %s" % err, file=sys.stderr)
         return 3
@@ -117,17 +122,18 @@ def cmd_normal_form(args) -> int:
                      for m in _TOKEN.finditer(args.expr))
     verifier = (ChiEVerifier if uses_chi_e else Verifier)(args.rank)
     poly = parse_expression(args.expr, verifier.alphabet, args.rank)
-    rules = verifier.rules_for(poly.degree or 0)
+    rules = verifier.rules
     _dump_rules(args, rules)
     print(rules.reduce(poly))
-    print("# certified: canonical up to degree %d" % rules.completed_degree)
+    print("# certified: canonical in every degree, by the normal-word count "
+          "at degree %d" % rules.certified_degree)
     return 0
 
 
 def cmd_hilbert(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree %d is negative" % args.max_degree)
-    rules = Verifier(args.rank).rules_for(args.max_degree)
+    rules = Verifier(args.rank).rules
     _dump_rules(args, rules)
     counts = normal_word_counts(rules, args.max_degree)
     if args.output == "structured":
@@ -260,7 +266,6 @@ def cmd_verify(args) -> int:
 
     reports = [r for s in suites for r in _suite_reports(s, grids, verifier)]
     reports.sort(key=VerificationReport.sort_key)
-    # the x rules as far as the run completed them
     if args.dump_rules:
         _dump_rules(args, verifier.rules)
 

@@ -21,6 +21,8 @@ term is kept as p * (c * word): a one-term factor folds into c and word,
 a division divides c and a power of one term is (word * n, c ** n).  Only
 a factor of several terms, or none, is multiplied into p, by freealg's
 mul_terms; sums go through add_terms, and only the result is an NcPoly.
+A factor q or s, or a power of one, adds to the exponent k of a pending
+s^k, multiplied into c once, so a run of them costs no product each.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from qserre.freealg import (
     Alphabet, NcPoly, SpectralWindow, add_terms, big_Q, c_element, k_element,
     mul_terms, qproduct,
 )
-from qserre.qfield import ONE, Q, QRat, S
+from qserre.qfield import ONE, QRat, s_power
 
 
 class ParseError(ValueError):
@@ -70,9 +72,9 @@ def _one(p):
     return next(iter(p.items())) if len(p) == 1 else p
 
 
-def _times(p, c, word):
-    """The term map p * (c * word), c nonzero."""
-    w = tuple(word)
+def _times(p, c, k, word):
+    """The term map p * (c * s^k * word), c nonzero."""
+    w, c = tuple(word), c if not k else s_power(k) if c is ONE else c * s_power(k)
     return {u + w: c if x is ONE else x if c is ONE else x * c for u, x in p.items()}
 
 
@@ -87,7 +89,8 @@ class _Parser:
         self.alphabet = alphabet
         # the one-term value of each name that is not a form
         self.names = {name: ((k,), ONE) for k, name in enumerate(alphabet.letters)}
-        self.names.update(q=((), Q), s=((), S))
+        # q and s are kept as powers of s, ints that term adds up
+        self.names.update(q=((), 2), s=((), 1))
         self.rank = rank if rank is not None else len(alphabet.letters)
 
     def error(self, message, i) -> ParseError:
@@ -134,29 +137,33 @@ class _Parser:
             self.i += 1
 
     def term(self):
-        toks, r = self.tokens, self.factor()
+        toks, r, k = self.tokens, self.factor(), 0
+        if type(r) is tuple and type(r[1]) is int:
+            r, k = ((), ONE), r[1]
         p, c, word = ({(): ONE}, r[1], [*r[0]]) if type(r) is tuple else (r, ONE, [])
         while True:
             op = toks[self.i]
             if op in ("*", "/"):
                 self.i += 1
             elif op != "(" and not op.isalnum():
-                return _times(p, c, word)
+                return _times(p, c, k, word)
             i = self.i
             r = self.factor()
-            if op == "/":
+            if op != "/" and type(r) is tuple and len(p) > MAX_TERMS:
+                self.product(p, dict((r,)), i)  # refused, as the product by r is
+            if type(r) is tuple and type(r[1]) is int:
+                k += -r[1] if op == "/" else r[1]
+            elif op == "/":
                 if type(r) is dict or r[0]:
                     raise self.error("division only by scalar expressions"
                                      if r else "division by zero", i)
                 c /= r[1]
             elif type(r) is tuple:
-                if len(p) > MAX_TERMS:  # refused, as the product by r is
-                    self.product(p, dict((r,)), i)
                 word += r[0]
                 if r[1] is not ONE:
                     c = r[1] if c is ONE else c * r[1]
             else:
-                p, c, word = self.product(_times(p, c, word), r, i), ONE, []
+                p, c, k, word = self.product(_times(p, c, k, word), r, i), ONE, 0, []
 
     def factor(self):
         p = self.primary()
@@ -166,6 +173,8 @@ class _Parser:
         if not self.tokens[i].isdigit():
             raise self.error("exponent must be a nonnegative integer", i)
         n = self.count("exponent")
+        if type(p) is tuple and type(p[1]) is int:  # q or s, too narrow to cap
+            return (), p[1] * n
         terms = (p,) if type(p) is tuple else p.items()
         width = max((max(len(w), len(c.num), len(c.den)) for w, c in terms),
                     default=0)

@@ -1,15 +1,22 @@
-"""Degree-bounded completion and normal forms for the defining ideals.
+"""Certified completion and normal forms for the defining ideals.
 
 Rules rewrite a leading word to a combination of deg-lex smaller words.
 The raw rules are the oriented relations that a presentation's braiding
 defines (braided_rules).  Every defining relation is homogeneous, so
-completion is one pass over the degrees up to the requested one, and it
-gives a rewriting system confluent within that degree.  No given lhs may
-be longer than the lowest degree resolved, so no new rule displaces an
-old one.
+completion is one pass over the degrees, and it stops where a count
+certifies the rules R in every degree.  R lies in the ideal I, so degree
+d of T/I has dimension at most N_R(d), the number of normal words of
+length d; at generic q it is the PBW count (roots.pbw_series).  Where
+the two agree in every degree, R is a Groebner-Shirshov basis of I.  An
+automaton on the n proper prefixes of the lhs's reads the normal words,
+so their series is rational of denominator degree at most n (Ufnarovski,
+1995): agreement through degree n + D, D the sum of the root heights,
+is agreement in every degree.  The count reads only the lhs's; a wrong
+rhs is the oracle's to catch.  No given lhs may be longer than the
+lowest degree resolved, so no new rule displaces an old one.
 
 A RuleSet is its own reducer, memoized per word.  It builds NF(w) as
-NF(NF(w[:-1]) w[-1]): up to the completed degree NF(w) is the unique
+NF(NF(w[:-1]) w[-1]): on a certified set NF(w) is the unique
 irreducible element congruent to w, so the two agree (the case k = 1 of
 Bergman's diamond lemma, Adv. Math. 29, 1978).  A rule can match a
 normal word times a letter only as a suffix, so rules are indexed by
@@ -19,7 +26,7 @@ completion's working sets, this still applies only valid rewrites and
 ends in irreducible words, so NF is a remainder.  Completion copies
 memo entries into each new set, never sharing a dict: a word shorter
 than a new lhs cannot contain it, so only entries shorter than each
-added rule, or within the degree of a set completed further, carry.
+added rule carry.
 
 Rewriting and completion are integer arithmetic over Z[s, 1/s].  A rule
 is stored once, its rhs as (word, Laurent coefficient) pairs, and the
@@ -43,9 +50,11 @@ every output coefficient share it, and each would take a gcd against it.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from qserre.freealg import Alphabet, NcPoly, add_terms, braided_relations, deg_lex_key
 from qserre.qfield import QRat, _order, _pdivmod_exact, _pmul, _pneg
+from qserre.roots import pbw_series
 
 # lhs word -> rhs, a tuple of (word, Laurent coefficient) pairs whose words
 # are deg-lex smaller and as long as lhs
@@ -135,15 +144,15 @@ def orient(alphabet: Alphabet, terms) -> Rule:
 
 
 class RuleSet:
-    """Inter-reduced rewrite rules with a confluence certificate up to a degree.
+    """Inter-reduced rewrite rules, and the degree the count certified them at, or None.
 
     It is also their reducer: the memo maps a word to its normal form as
     {word: (shift, ints)}, Laurent coefficients in s.
     """
 
-    __slots__ = ("alphabet", "rules", "completed_degree", "memo", "_by_last")
+    __slots__ = ("alphabet", "rules", "certified_degree", "memo", "_by_last")
 
-    def __init__(self, alphabet, rules, completed_degree=0):
+    def __init__(self, alphabet, rules, certified_degree=None):
         rules = tuple(rules)
         lhss = [r.lhs for r in rules]
         inside = {b[i:j]: b for b in lhss for i in range(len(b))
@@ -158,7 +167,7 @@ class RuleSet:
             by_last.setdefault(r.lhs[-1], []).append((r.lhs, -len(r.lhs), r.rhs))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "completed_degree", completed_degree)
+        object.__setattr__(self, "certified_degree", certified_degree)
         object.__setattr__(self, "memo", {(): {(): _L_ONE}})
         object.__setattr__(self, "_by_last", by_last)
 
@@ -215,7 +224,7 @@ class RuleSet:
         return out
 
     def normal_form(self, p: NcPoly) -> NcPoly:
-        """NF(p): canonical when deg(p) <= completed_degree, else a remainder.
+        """NF(p): canonical when the set is certified, else a remainder.
 
         NF(sum n_w w / d) = NF(sum n_w w) / d, so each group of terms
         sharing the denominator d (up to a power of s) is reduced over
@@ -273,42 +282,42 @@ def _s_poly(reducer, ra, rb, k):
 MAX_STEPS = 100000  # critical pairs one completion may resolve
 
 
-def complete(rules: RuleSet, max_degree: int) -> RuleSet:
-    """Resolve all critical pairs of composed degree <= max_degree.
+def complete(rules: RuleSet, roots) -> RuleSet:
+    """Resolve critical pairs degree by degree until the count certifies them.
 
-    Degree by degree, each pair's S-polynomial is reduced by the rules so
-    far and, if nonzero, oriented into a new rule.  A set completed to
-    max_degree or beyond is returned unchanged, and MAX_STEPS only
-    guards against implementation bugs.
+    roots are the positive roots, as count vectors.  From the longest
+    given lhs on, each degree d ends with _count_mismatch; the first
+    degree where it finds none is the certified_degree.  A mismatch at
+    d + 1 tells how many rules degree d + 1 lacks, as each new lhs is
+    one normal word there, so its pairs are resolved until that many
+    are found: the rest then resolve.  Past 2 ht(theta) + 1 or MAX_STEPS
+    pairs completion raises; neither has happened.
 
     A degree-d S-polynomial is homogeneous, so a new lhs is a normal
     word of length d: it contains no lhs and could lie only inside a
-    longer one.  Precondition: no given lhs is longer than the lowest
-    degree resolved, 3 for raw relations or completed_degree + 1 for a
-    set completed before; otherwise the result is refused as not
-    inter-reduced.  Pairs of degree <= completed_degree are skipped:
-    they join only given rules, as every new lhs is longer, and they
-    already resolved.  Whichever remainders the working sets give, the
-    result is the truncated reduced basis of the ideal, which is unique.
+    longer one.  Precondition: no given lhs is longer than a new one, as
+    with raw relations, whose lhs's are at most 3 long; otherwise the
+    result is refused as not inter-reduced.  Whichever remainders the
+    working sets give, the result is the reduced basis, which is unique.
     """
-    if max_degree < 3 and rules.rules:
-        raise ValueError("max_degree must be at least 3")
-    if max_degree <= rules.completed_degree:
-        return rules
+    cap = 2 * max(map(sum, roots), default=0) + 1
     work = list(rules.rules)
-    pending = [[] for _ in range(max_degree + 1)]  # critical pairs by degree
+    start = max((len(r.lhs) for r in work), default=0)
+    pending = [[] for _ in range(cap + 1)]  # critical pairs by degree
 
     def file_pairs(i):
-        for d, ia, ib, k in _critical_pairs(work, i, max_degree):
+        for d, ia, ib, k in _critical_pairs(work, i, cap):
             pending[d].append((ia, ib, k))
 
     for i in range(len(work)):
         file_pairs(i)
-    reducer = _carried(rules.alphabet, work, rules.memo, rules.completed_degree + 1)
-    steps = 0
+    reducer = RuleSet(rules.alphabet, work)
+    steps, need = 0, None  # the rules degree d lacks, once a count says
     # a rule added at one degree files its pairs under later ones
-    for d in range(rules.completed_degree + 1, max_degree + 1):
+    for d in range(cap + 1):
         for ia, ib, k in pending[d]:
+            if need == 0:
+                break
             steps += 1
             if steps > MAX_STEPS:
                 raise RuntimeError("completion exceeded the step budget")
@@ -316,43 +325,79 @@ def complete(rules: RuleSet, max_degree: int) -> RuleSet:
             if not nf:
                 continue
             work.append(orient(rules.alphabet, nf))
+            need = need and need - 1
             # the new lhs has length d, so no shorter word contains it
             reducer = _carried(rules.alphabet, work, reducer.memo, d)
             file_pairs(len(work) - 1)
+        if d >= start:
+            miss = _count_mismatch(reducer, roots)
+            if miss is None:
+                break
+            e, got, want = miss
+            need = got - want if e == d + 1 else 0 if e > d else None
+    else:
+        raise RuntimeError("no count certifies the rules by degree %d" % cap)
 
     # tail-reduce right-hand sides against the finished system, which the
     # last reducer holds; a rule never applies to its own rhs, whose words
     # are smaller words of the same length, so one reducer serves every rule
     tidy = [Rule(r.lhs, tuple(reducer.reduced_terms(r.rhs).items())) for r in work]
     tidy.sort(key=lambda r: deg_lex_key(r.lhs))
-    return _carried(rules.alphabet, tidy, reducer.memo, max_degree + 1, max_degree)
+    return _carried(rules.alphabet, tidy, reducer.memo, d + 1, d)
 
 
-def _carried(alphabet, rules, memo, below, completed_degree=0) -> RuleSet:
+def _carried(alphabet, rules, memo, below, certified_degree=None) -> RuleSet:
     """A RuleSet of rules whose own memo starts with memo's entries shorter than below."""
-    out = RuleSet(alphabet, rules, completed_degree)
+    out = RuleSet(alphabet, rules, certified_degree)
     out.memo.update((w, nf) for w, nf in memo.items() if len(w) < below)
     return out
 
 
-def _normal_levels(rules: RuleSet, degree: int):
-    """Words with no rule lhs as a subword, one list per degree 0..degree."""
-    lhss = [r.lhs for r in rules.rules]
-    letters = range(len(rules.alphabet))
-    level = [()]
-    yield level
-    for _ in range(degree):
-        # a fresh lhs hit can only be a suffix ending at the new letter
-        level = [w + (i,) for w in level for i in letters
-                 if not any((w + (i,))[-len(lhs):] == lhs for lhs in lhss)]
-        yield level
+def _normal_word_counts(rules: RuleSet):
+    """N_R(0), N_R(1), ... without end, and n, the automaton's state count.
+
+    A state is the longest suffix of the word read that is a proper
+    prefix of an lhs.  A letter leads to the longest suffix that is a
+    state or an lhs, which ends the word: a longer state would hold it.
+    """
+    lhss = {r.lhs for r in rules.rules}
+    states = [()] + list({w[:i] for w in lhss for i in range(1, len(w))})
+    index = {p: i for i, p in enumerate(states)}
+    moves = [[] for _ in states]
+    for p, out in zip(states, moves):
+        for a in range(len(rules.alphabet)):
+            u = p + (a,)
+            while u not in index and u not in lhss:
+                u = u[1:]
+            if u not in lhss:
+                out.append(index[u])
+
+    def counts():
+        vec = [1] + [0] * (len(states) - 1)
+        while True:
+            yield sum(vec)
+            new = [0] * len(vec)
+            for c, out in zip(vec, moves):
+                for j in out:
+                    new[j] += c
+            vec = new
+
+    return counts(), len(states)
+
+
+def _count_mismatch(rules: RuleSet, roots):
+    """The first (d, N_R(d), PBW(d)) that differ, d <= n + D; None certifies."""
+    counts, n = _normal_word_counts(rules)
+    pbw = pbw_series(roots, n + sum(map(sum, roots)))
+    return next(((d, got, want) for d, (got, want) in enumerate(zip(counts, pbw))
+                 if got != want), None)
 
 
 def normal_word_counts(rules: RuleSet, d_max: int):
     """Count of normal words per degree 0..d_max (the Hilbert diagnostic)."""
-    if d_max > rules.completed_degree:
-        raise ValueError("counts requested beyond the certified degree")
-    return [len(level) for level in _normal_levels(rules, d_max)]
+    if rules.certified_degree is None:
+        raise ValueError("the count has not certified this rule set")
+    return list(islice(_normal_word_counts(rules)[0], d_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +405,11 @@ def normal_word_counts(rules: RuleSet, d_max: int):
 # ---------------------------------------------------------------------------
 
 def dump_rules(rules: RuleSet) -> str:
+    cert = rules.certified_degree
     lines = ["# alphabet: %s" % ",".join("%s:%d" % f for f in rules.alphabet.families),
-             "# completed_degree: %d" % rules.completed_degree]
+             "# certificate: " + ("none" if cert is None else
+                                  "global, by the normal-word count at degree %d" % cert)]
     for r in rules.rules:
         rhs = NcPoly._of(rules.alphabet, {w: _as_qrat(c) for w, c in r.rhs})
         lines.append("%s -> %s" % (rules.alphabet.word_str(r.lhs), rhs))
     return "\n".join(lines) + "\n"
-

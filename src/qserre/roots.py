@@ -5,7 +5,9 @@ chi(i, j) chi(j, i) = 1, a_ij = -1 where it is chi(i, i)^-1 = chi(j, j)^-1,
 and any other chi is refused.  freealg.braided_relations writes the
 defining relations from it.  Its positive roots fix the dimension of
 each letter-count block m of the quotient: the Kostant count K(m) of
-multisets of roots summing to m.  Words compare lexicographically with
+multisets of roots summing to m.  Over a degree these sum to the PBW
+series, the product over roots of 1 / (1 - t^ht) (Lusztig, JAMS 3,
+1990).  Words compare lexicographically with
 x1 > x2 > ..., a proper prefix smaller.  A root's good word follows
 Leclerc's recursion (Math. Z. 246, 2004): l(alpha_i) = x_i, and l(beta)
 is the largest l(b1) l(b2) over roots b1 + b2 = beta with l(b1) <
@@ -43,6 +45,15 @@ def positive_roots(cartan) -> list:
                     raise ValueError("chi's diagram is not of finite type")
                 roots.append(tuple(gamma))
     return roots
+
+
+def pbw_series(roots, degree) -> list:
+    """Coefficients t^0..t^degree of the product of 1 / (1 - t^ht) over roots."""
+    coeffs = [1] + [0] * degree
+    for h in map(sum, roots):
+        for d in range(h, degree + 1):
+            coeffs[d] += coeffs[d - h]
+    return coeffs
 
 
 def good_words(chi) -> list:

@@ -30,6 +30,7 @@ from qserre.freealg import (
 from qserre.oracle import IdealOracle, randomized_precheck
 from qserre.qfield import q_power
 from qserre.rewrite import RuleSet, braided_rules, complete
+from qserre.roots import cartan_matrix, positive_roots
 
 
 class MethodDisagreement(RuntimeError):
@@ -66,8 +67,9 @@ class Decider:
     defines, and the oracle applies its quantum symmetrizer.  Completion
     and the oracle are built lazily on first use and keep memo tables
     that later decisions reuse, so one instance serves its checks one
-    after another.  The rule set is completed to max(8, the largest
-    degree reduced so far), so every rewriting verdict is canonical.
+    after another.  The rules are completed once, to the degree where
+    the normal-word count certifies them in every degree, so every
+    rewriting verdict is canonical, whatever its degree.
     """
 
     def __init__(self, rank: int, mode: str = "both"):
@@ -78,28 +80,17 @@ class Decider:
         self.mode = mode
         self._rules = None
         self._oracle = None
-        self._degree = 0  # the largest degree decided so far
 
     @property
     def rules(self) -> RuleSet:
-        """The rules completed to max(8, the largest degree decided so far).
+        """The raw rules, completed and certified on first use.
 
         A decider in oracle mode completes them only when asked here.
         """
-        return self.rules_for(self._degree)
-
-    def rules_for(self, degree: int) -> RuleSet:
-        """The raw rules completed to at least max(8, degree).
-
-        A larger degree than the set has completes that set further.  The
-        truncated reduced basis of a homogeneous ideal is unique, so this
-        equals a fresh completion to the larger degree.
-        """
-        degree = max(8, degree)
-        if self._rules is None or degree > self._rules.completed_degree:
-            given = (braided_rules(self.alphabet, self.braiding_for)
-                     if self._rules is None else self._rules)
-            self._rules = complete(given, degree)
+        if self._rules is None:
+            chi = self.braiding_for(self.alphabet)
+            self._rules = complete(braided_rules(self.alphabet, self.braiding_for),
+                                   positive_roots(cartan_matrix(chi)))
         return self._rules
 
     @property
@@ -112,8 +103,8 @@ class Decider:
     def decide(self, identity: str, params, diff: NcPoly, notes=()) -> VerificationReport:
         """Is diff in the ideal?  Runs the configured methods and compares.
 
-        Rewriting reduces with rules completed to the degree of diff, so
-        its verdict is canonical either way.  The oracle, the only one in
+        Rewriting reduces with the certified rules, so its verdict is
+        canonical either way.  The oracle, the only one in
         the package, decides every slice with self.oracle.slice_member,
         which applies the quantum symmetrizer Phi and needs no
         elimination, so its verdict is always definite; the echelon the
@@ -129,11 +120,9 @@ class Decider:
         t0 = time.perf_counter()
         methods = []
         in_ideal, residual = False, diff
-        degree = diff.degree or 0
-        self._degree = max(self._degree, degree)
 
         if self.mode in ("rewrite", "both"):
-            residual = self.rules_for(degree).reduce(diff)
+            residual = self.rules.reduce(diff)
             in_ideal = residual.is_zero
             methods.append("rewrite")
 

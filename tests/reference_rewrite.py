@@ -6,24 +6,59 @@ route scans for the leftmost match anywhere in the word instead, with
 its own memo and an explicit stack, so the tests can check that both
 orders reach the same normal form wherever the rules are canonical.
 
-raw_rules names the uncompleted rule sets that the tests start from, and
-critical_pair_residuals is the diamond-lemma reference: a set is
-confluent up to a degree when every overlap there resolves to zero.
+raw_rules names the uncompleted rule sets that the tests start from,
+certified their completions, and critical_pair_residuals is the
+diamond-lemma reference: a set is confluent up to a degree when every
+overlap there resolves to zero.  normal_levels lists normal words by
+brute force, where the package counts them with an automaton.
 """
+
+import functools
 
 from qserre.freealg import chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet
 from qserre.qfield import _pmul
 from qserre.rewrite import (
-    _L_ONE, _add_into, _critical_pairs, _s_poly, braided_rules,
+    _L_ONE, _add_into, _critical_pairs, _s_poly, braided_rules, complete,
 )
+from qserre.roots import cartan_matrix, positive_roots
+
+
+def _presentation(name):
+    """(alphabet, braiding) by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
+    family, rank = name[:-1], int(name[-1])
+    if family == "x":
+        return x_alphabet(rank), serre_braiding
+    return chi_e_alphabet(rank), chi_e_braiding
 
 
 def raw_rules(name):
-    """The raw rules by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
-    family, rank = name[:-1], int(name[-1])
-    if family == "x":
-        return braided_rules(x_alphabet(rank), serre_braiding)
-    return braided_rules(chi_e_alphabet(rank), chi_e_braiding)
+    """The raw rules by name."""
+    return braided_rules(*_presentation(name))
+
+
+def roots_of(name):
+    """The positive roots of the named presentation's Dynkin diagram."""
+    alphabet, braiding = _presentation(name)
+    return positive_roots(cartan_matrix(braiding(alphabet)))
+
+
+@functools.lru_cache(maxsize=None)
+def certified(name):
+    """The named raw rules completed until the count certifies them; shared."""
+    return complete(raw_rules(name), roots_of(name))
+
+
+def normal_levels(rules, degree):
+    """Words with no rule lhs as a subword, one list per degree 0..degree."""
+    lhss = [r.lhs for r in rules.rules]
+    letters = range(len(rules.alphabet))
+    level = [()]
+    yield level
+    for _ in range(degree):
+        # a fresh lhs hit can only be a suffix ending at the new letter
+        level = [w + (i,) for w in level for i in letters
+                 if not any((w + (i,))[-len(lhs):] == lhs for lhs in lhss)]
+        yield level
 
 
 def critical_pair_residuals(rules, max_degree):

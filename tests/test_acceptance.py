@@ -12,15 +12,12 @@ import pytest
 from qserre.cli import descending_triples, qq_windows
 from qserre.qfield import ONE, Q, QRat
 from qserre.freealg import NcPoly, k_element
-from qserre.rewrite import complete, normal_word_counts
+from qserre.rewrite import normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
 from qserre.verify import ChiEVerifier, Verifier
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle, serre_relations
-from reference_rewrite import critical_pair_residuals, raw_rules
-
-COMPLETION = {2: 10, 3: 9}  # the largest degree of a pinned qq window
-CHIE_COMPLETION = 6
+from reference_rewrite import certified, critical_pair_residuals
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +82,8 @@ def test_criterion_4_qq_commutativity(v2, v3):
     first = reports[0]
     ok = ok and "oracle" in first.methods and "rewrite" in first.methods
     _report(4, ok, "Q(lam,nu) Q(mu,nu) = Q(mu,nu) Q(lam,nu) at the pinned "
-            "windows, completion degrees %s" % COMPLETION)
+            "windows, of degrees up to 10, on rules certified at degrees %d "
+            "and %d" % (v2.rules.certified_degree, v3.rules.certified_degree))
 
 
 def test_criterion_5_hilbert_anchor(v2, v3):
@@ -147,14 +145,12 @@ def test_criterion_6_rewriter_oracle_agreement(v2, v3):
 def test_criterion_7_confluence_certificate(v2, v3):
     ok = True
     pairs = 0
-    for rules, bound in ((v2.rules_for(COMPLETION[2]), COMPLETION[2]),
-                         (v3.rules_for(COMPLETION[3]), COMPLETION[3]),
-                         (complete(raw_rules("chi-e2"), CHIE_COMPLETION), CHIE_COMPLETION),
-                         (complete(raw_rules("chi-e3"), CHIE_COMPLETION), CHIE_COMPLETION)):
-        residuals = critical_pair_residuals(rules, bound)
+    for rules in (v2.rules, v3.rules, certified("chi-e2"), certified("chi-e3")):
+        # what the normal-word count certified, checked by the diamond lemma
+        residuals = critical_pair_residuals(rules, 2 * rules.certified_degree - 1)
         pairs += len(residuals)
         ok = ok and not any(r for _, r in residuals)
-    _report(7, ok, "all %d critical pairs up to the completion bounds "
+    _report(7, ok, "all %d critical pairs up to 2L - 1 of the certified sets "
             "resolve to zero" % pairs)
 
 

@@ -14,7 +14,8 @@ from qserre.freealg import (
     NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct, x_alphabet,
 )
 from qserre.qfield import ONE, Q, QRat
-from qserre.rewrite import complete, dump_rules
+from qserre.rewrite import _as_qrat, complete, dump_rules
+from reference_rewrite import LeftmostReducer
 
 A2 = x_alphabet(2)
 
@@ -31,8 +32,8 @@ def completions(monkeypatch):
     import qserre.verify
     done = []
 
-    def spy(rules, degree):
-        done.append(complete(rules, degree))
+    def spy(rules, roots):
+        done.append(complete(rules, roots))
         return done[-1]
     monkeypatch.setattr(qserre.verify, "complete", spy)
     return done
@@ -64,6 +65,23 @@ def test_importing_the_cli_loads_no_dataclasses():
     got = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True, check=True)
     assert got.stdout == "[]\n"
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_141():
+    # the reader takes one line and closes the pipe while the command still
+    # writes: 300 kB of counts, past any pipe buffer, so the next write fails
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, %r); "
+         "from qserre.cli import main; sys.exit(main())" % src,
+         "hilbert", "--max-degree", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"degree  normal words (rank 2)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err and err == b""
 
 
 # -- expression parsing -------------------------------------------------------
@@ -181,10 +199,18 @@ def test_cmd_normal_form_chi_e(capsys):
         assert code == 0 and out.splitlines()[0] == nf, text
 
 
-def test_cmd_normal_form_completes_to_the_input_degree(capsys):
+def test_cmd_normal_form_completes_to_the_input_degree(capsys, completions):
+    # a degree-10 input needs no completion past L = 3: the certified set
+    # is canonical in every degree
     code, out, _ = run(capsys, "normal-form", "x2*x1^9")
     assert code == 0
-    assert out.splitlines()[1] == "# certified: canonical up to degree 10"
+    assert [rules.certified_degree for rules in completions] == [3]
+    # the leftmost reference, with the same rules, reaches the same form
+    want = LeftmostReducer(completions[0]).word_normal_form((1,) + (0,) * 9)
+    assert out.splitlines()[0] == str(NcPoly._of(A2, {
+        w: _as_qrat(c) for w, c in want.items()}))
+    assert out.splitlines()[1] == ("# certified: canonical in every degree, "
+                                   "by the normal-word count at degree 3")
 
 
 def test_cmd_normal_form_parse_error(capsys):

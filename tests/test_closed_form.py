@@ -8,19 +8,19 @@ from reference_echelon import (
     serre_relations,
 )
 from qserre.freealg import chi_e_alphabet, x_alphabet
-from qserre.rewrite import complete, normal_word_counts
-from reference_rewrite import raw_rules
+from qserre.rewrite import normal_word_counts
+from reference_rewrite import certified
 
 
 @pytest.mark.parametrize("rank, degree", [(2, 8), (3, 8), (4, 7)])
 def test_pbw_series_is_the_normal_word_count(rank, degree):
-    rules = complete(raw_rules("x%d" % rank), degree)
+    rules = certified("x%d" % rank)
     assert pbw_series(rank, degree) == normal_word_counts(rules, degree)
 
 
 @pytest.mark.parametrize("rank, degree", [(2, 7), (3, 6)])
 def test_chi_e_series_is_the_normal_word_count(rank, degree):
-    rules = complete(raw_rules("chi-e%d" % rank), degree)
+    rules = certified("chi-e%d" % rank)
     assert (pbw_series(rank, degree, extra_linear=rank)
             == normal_word_counts(rules, degree))
 
@@ -54,7 +54,7 @@ def test_dropping_a_root_fails(rank):
     # mutation control: without any one positive root both closed forms
     # miss the counts
     degree = 6
-    counts = normal_word_counts(complete(raw_rules("x%d" % rank), degree), degree)
+    counts = normal_word_counts(certified("x%d" % rank), degree)
     roots = positive_roots(rank)
     ech = ReferenceOracle(x_alphabet(rank), serre_relations(x_alphabet(rank)))
     chi_e = ReferenceOracle(chi_e_alphabet(rank),

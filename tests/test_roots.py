@@ -1,8 +1,9 @@
 """Root data against sources that share no code with it.
 
-The positive roots and the Kostant counts come from the closed forms in
-tests/pbw_reference.py, and the normal-word sets from the rule sets that
-completion gives, which read the relations and no root.
+The positive roots, the PBW series and the Kostant counts come from the
+closed forms in tests/pbw_reference.py, and the normal-word sets from
+the rule sets that completion gives, whose words read the relations and
+no root.
 """
 
 import pytest
@@ -10,13 +11,14 @@ import pytest
 from qserre.freealg import (
     chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet,
 )
-from qserre.rewrite import _normal_levels, complete
 from qserre.roots import (
-    cartan_matrix, good_words, normal_words, positive_roots,
+    cartan_matrix, good_words, normal_words, pbw_series, positive_roots,
 )
-from pbw_reference import kostant_count, positive_roots as interval_roots
+from pbw_reference import (
+    kostant_count, pbw_series as closed_form_series, positive_roots as interval_roots,
+)
 from reference_echelon import _compositions
-from reference_rewrite import raw_rules
+from reference_rewrite import certified, normal_levels
 
 
 def _x_chi(rank):
@@ -27,6 +29,31 @@ def _x_chi(rank):
 def test_positive_roots_are_the_intervals(rank):
     assert set(positive_roots(cartan_matrix(_x_chi(rank)))) == set(
         interval_roots(rank))
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_pbw_series_and_kostant_counts_are_the_closed_forms(rank):
+    roots = positive_roots(cartan_matrix(_x_chi(rank)))
+    assert pbw_series(roots, 14) == closed_form_series(rank, 14)
+    good, intervals = good_words(_x_chi(rank)), interval_roots(rank)
+    for degree in range(7 if rank < 6 else 5):
+        for content in _compositions(degree, rank):
+            assert len(normal_words(good, content)) == kostant_count(content, intervals)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_chi_e_series_has_the_factor_of_its_chi_letters(rank):
+    # the r isolated chi roots contribute (1 - t)^-r beside A_r's series
+    roots = positive_roots(cartan_matrix(chi_e_braiding(chi_e_alphabet(rank))))
+    assert pbw_series(roots, 12) == closed_form_series(rank, 12, extra_linear=rank)
+    assert pbw_series(roots, 12) != closed_form_series(rank, 12)
+
+
+def test_a_dropped_root_changes_the_series():
+    # mutation control: each positive root of A3 shows in the series
+    roots = positive_roots(cartan_matrix(_x_chi(3)))
+    for k in range(len(roots)):
+        assert pbw_series(roots[:k] + roots[k + 1:], 8) != closed_form_series(3, 8)
 
 
 def test_chi_letters_are_isolated_simple_roots():
@@ -83,10 +110,10 @@ def _reversed_order_words(chi, content):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_normal_words_are_the_rewriting_normal_words(rank):
-    chi, rules = _x_chi(rank), complete(raw_rules("x%d" % rank), 7)
+    chi, rules = _x_chi(rank), certified("x%d" % rank)
     good = good_words(chi)
     differ = 0
-    for degree, level in enumerate(_normal_levels(rules, 7)):
+    for degree, level in enumerate(normal_levels(rules, 7)):
         blocks = list(_compositions(degree, rank))
         assert {w for c in blocks for w in normal_words(good, c)} == set(level)
         # control: under x1 < x2 < ... the counts agree and the sets not

@@ -10,7 +10,7 @@ from qserre.freealg import NcPoly, SpectralWindow, k_element, qproduct, x_alphab
 from qserre.rewrite import complete, dump_rules
 from qserre.verify import ChiEVerifier, Decider, Verifier
 from reference_echelon import ReferenceOracle, chi_e_relations, serre_relations
-from reference_rewrite import raw_rules
+from reference_rewrite import certified
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def test_high_degree_failure_reports_fail_not_disagreement(v2):
     rel = x1 * x1 * x2 + (x2 * x1 * x1).scale(q_power(1)) \
         - (x1 * x2 * x1).scale(ONE + Q)
     high = x2 * x1 ** 9 - x1 ** 9 * x2
-    assert not v2.rules_for(10).reduce(high).is_zero  # really fails, and certified
+    assert not v2.rules.reduce(high).is_zero  # really fails, and certified
     r = v2.decide("probe", (("case", "high-degree"),), rel + high)
     assert not r.passed
     assert r.methods == ("rewrite", "oracle")
@@ -192,16 +192,16 @@ def test_rewrite_only_mode():
     assert r.passed and r.methods == ("rewrite",)
 
 
-# -- the completion degree follows the degree decided ---------------------------
+# -- one certified completion serves every degree -------------------------------
 
 def test_rewrite_refutes_beyond_degree_8():
-    # the rules are completed to the input's degree 10, so rewriting alone
-    # gives a definite verdict, with no note
+    # the rules are certified in every degree, so rewriting alone gives a
+    # definite verdict at degree 10, with no note
     v = Verifier(2, mode="rewrite")
     x1, x2 = (NcPoly.generator(v.alphabet, g) for g in ("x1", "x2"))
     r = v.decide("probe", (), x2 * x1 ** 9)
     assert not r.passed and r.notes == () and not r.residual.is_zero
-    assert v.rules.completed_degree == 10
+    assert v.rules.certified_degree == 3
 
 
 def test_padded_degree_10_relation_is_a_member():
@@ -211,14 +211,14 @@ def test_padded_degree_10_relation_is_a_member():
     assert padded.degree == 10
     r = v.decide("probe", (), padded)
     assert r.passed and r.notes == () and r.methods == ("rewrite", "oracle")
-    assert v.rules.completed_degree == 10
+    assert v.rules.certified_degree == 3
 
 
-def test_completion_resumes_only_for_a_larger_degree(monkeypatch):
+def test_completion_runs_once_for_every_degree(monkeypatch):
     done = []
 
-    def spy(rules, degree):
-        done.append(complete(rules, degree))
+    def spy(rules, roots):
+        done.append(complete(rules, roots))
         return done[-1]
     monkeypatch.setattr(verify_module, "complete", spy)
     v = Verifier(3)
@@ -226,12 +226,11 @@ def test_completion_resumes_only_for_a_larger_degree(monkeypatch):
     rel = serre_relations(v.alphabet)[0]
     for pad in (NcPoly.unit(v.alphabet), x3 * x1, x2 ** 5):
         assert v.decide("probe", (), rel * pad).passed
-    assert [rules.completed_degree for rules in done] == [8]
     assert not v.decide("probe", (), x3 * x2 ** 8).passed
-    assert [rules.completed_degree for rules in done] == [8, 9]
-    assert v.rules is done[1]
-    # the resumed set is the one a fresh completion to 9 gives
-    assert dump_rules(done[1]) == dump_rules(complete(raw_rules("x3"), 9))
+    assert not v.decide("probe", (), x3 * x2 ** 14).passed
+    assert [rules.certified_degree for rules in done] == [5]
+    assert v.rules is done[0]
+    assert dump_rules(done[0]) == dump_rules(certified("x3"))
 
 
 def test_chi_e_embedding():
