@@ -263,11 +263,11 @@ def cmd_verify(args) -> int:
         raise ValueError("--dump-rules names the x rule set, which no "
                          "requested suite uses")
     verifier = Verifier(args.rank, args.mode)
+    if args.dump_rules:  # the certified set does not depend on the checks
+        _dump_rules(args, verifier.rules)
 
     reports = [r for s in suites for r in _suite_reports(s, grids, verifier)]
     reports.sort(key=VerificationReport.sort_key)
-    if args.dump_rules:
-        _dump_rules(args, verifier.rules)
 
     failed = [r for r in reports if not r.passed]
     if args.output == "structured":

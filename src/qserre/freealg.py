@@ -369,19 +369,18 @@ def ayb_sides(alphabet: Alphabet, n: int, lam: int, mu: int, nu: int):
 # relations it gives, which both the rewriter and the oracle start from
 # ---------------------------------------------------------------------------
 
-def serre_braiding(alphabet: Alphabet) -> tuple:
-    """chi for the x-family as s-exponents: chi[u][a] = k means s^k.
+def serre_braiding(rank: int) -> tuple:
+    """chi for x_1..x_rank as s-exponents: chi[u][a] = k means s^k.
 
     chi(x_i, x_i) = q, chi(x_{i+1}, x_i) = q^-1 and 1 for every other
     pair, including chi(x_i, x_{i+1}).
     """
-    n = len(alphabet)
     return tuple(tuple(2 if u == a else -2 if u == a + 1 else 0
-                       for a in range(n)) for u in range(n))
+                       for a in range(rank)) for u in range(rank))
 
 
-def chi_e_braiding(alphabet: Alphabet) -> tuple:
-    """chi for the quantum-coordinate realization, as in serre_braiding.
+def chi_e_braiding(rank: int) -> tuple:
+    """chi on chi_1..chi_rank, e_1..e_rank, as in serre_braiding.
 
     The x braiding split in two halves whose product it is, so that
     y_n = chi_n e_n braids as x_n: the antisymmetric half on the chi's,
@@ -389,8 +388,7 @@ def chi_e_braiding(alphabet: Alphabet) -> tuple:
     symmetric half on the e's, chi(e_i, e_i) = q and chi(e_i, e_{i+-1}) =
     s^-1, and 1 for every chi with every e.
     """
-    rank = len(alphabet) // 2
-    x = serre_braiding(x_alphabet(rank))
+    x = serre_braiding(rank)
     chi = [[(x[u][a] - x[a][u]) // 2 for a in range(rank)] + [0] * rank
            for u in range(rank)]
     chi += [[0] * rank + [(x[u][a] + x[a][u]) // 2 for a in range(rank)]

@@ -33,7 +33,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
-from qserre.freealg import Alphabet, NcPoly
+from qserre.freealg import NcPoly
 from qserre.roots import good_words, normal_words
 
 
@@ -52,16 +52,15 @@ def split_homogeneous(p: NcPoly):
 class IdealOracle:
     """Membership in the ideal of one presentation, decided by Phi.
 
-    braiding is the function that builds the presentation's chi table
-    from the alphabet (freealg.serre_braiding, chi_e_braiding), the same
-    one rewrite.braided_rules writes the relations from.  The relations
+    chi is the presentation's braiding table (freealg.serre_braiding,
+    chi_e_braiding), the same table rewrite.braided_rules writes the
+    relations from; its size is the number of letters.  The relations
     are not an input: Phi of the braiding determines the ideal, and its
     Dynkin diagram the normal words, kept per block as a trie.
     """
 
-    def __init__(self, alphabet: Alphabet, braiding):
-        self.alphabet = alphabet
-        self.chi = braiding(alphabet)
+    def __init__(self, chi):
+        self.chi = chi
         # block_kills' letter width in a packed word, and its lift
         self._width = max(1, (len(self.chi) - 1).bit_length())
         self._lift = max(0, -min(min(row) for row in self.chi))
@@ -70,7 +69,7 @@ class IdealOracle:
 
     def blocks(self, p: NcPoly):
         """p's terms grouped by letter counts: (content, word -> QRat)."""
-        letters = range(len(self.alphabet))
+        letters = range(len(self.chi))
         grouped = {}
         for w, c in p.terms.items():
             grouped.setdefault(tuple(map(w.count, letters)), {})[w] = c

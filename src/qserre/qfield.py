@@ -432,5 +432,3 @@ def q_power(k: int) -> QRat:
 
 ZERO = QRat(0)
 ONE = QRat(1)
-S = s_power(1)
-Q = q_power(1)

@@ -1,7 +1,7 @@
 """Certified completion and normal forms for the defining ideals.
 
 Rules rewrite a leading word to a combination of deg-lex smaller words.
-The raw rules are the oriented relations that a presentation's braiding
+The raw rules are the oriented relations that a braiding table chi
 defines (braided_rules).  Every defining relation is homogeneous, so
 completion is one pass over the degrees, and it stops where a count
 certifies the rules R in every degree.  R lies in the ideal I, so degree
@@ -245,13 +245,13 @@ class RuleSet:
     reduce = reduce_flagged = normal_form
 
 
-def braided_rules(alphabet: Alphabet, braiding) -> RuleSet:
-    """The oriented relations that braiding(alphabet) defines, not yet completed."""
+def braided_rules(alphabet: Alphabet, chi) -> RuleSet:
+    """The oriented relations that the table chi defines, not yet completed."""
     gens = [NcPoly.monomial(alphabet, (i,)) for i in range(len(alphabet))]
     # each coefficient is a sum of powers of s, so Laurent
     return RuleSet(alphabet, [
         orient(alphabet, {w: _laurent_over(c)[1] for w, c in rel.terms.items()})
-        for _, rel in braided_relations(gens, braiding(alphabet))])
+        for _, rel in braided_relations(gens, chi)])
 
 
 def _critical_pairs(rules, i, max_degree):

@@ -63,8 +63,8 @@ class Decider:
     """Membership in the defining ideal of one presentation at one rank.
 
     A subclass names the presentation by alphabet_for and braiding_for
-    alone: the rules are completed from the relations that the braiding
-    defines, and the oracle applies its quantum symmetrizer.  Completion
+    alone, and self.chi, built once, is what both routes take: the rules
+    complete its relations, and the oracle applies its symmetrizer.  Completion
     and the oracle are built lazily on first use and keep memo tables
     that later decisions reuse, so one instance serves its checks one
     after another.  The rules are completed once, to the degree where
@@ -77,6 +77,7 @@ class Decider:
             raise ValueError("mode must be rewrite, oracle or both")
         self.rank = rank
         self.alphabet = self.alphabet_for(rank)
+        self.chi = self.braiding_for(rank)
         self.mode = mode
         self._rules = None
         self._oracle = None
@@ -88,34 +89,32 @@ class Decider:
         A decider in oracle mode completes them only when asked here.
         """
         if self._rules is None:
-            chi = self.braiding_for(self.alphabet)
-            self._rules = complete(braided_rules(self.alphabet, self.braiding_for),
-                                   positive_roots(cartan_matrix(chi)))
+            self._rules = complete(braided_rules(self.alphabet, self.chi),
+                                   positive_roots(cartan_matrix(self.chi)))
         return self._rules
 
     @property
     def oracle(self) -> IdealOracle:
         """The exact oracle: the quantum symmetrizer of the braiding."""
         if self._oracle is None:
-            self._oracle = IdealOracle(self.alphabet, self.braiding_for)
+            self._oracle = IdealOracle(self.chi)
         return self._oracle
 
     def decide(self, identity: str, params, diff: NcPoly, notes=()) -> VerificationReport:
         """Is diff in the ideal?  Runs the configured methods and compares.
 
         Rewriting reduces with the certified rules, so its verdict is
-        canonical either way.  The oracle, the only one in
-        the package, decides every slice with self.oracle.slice_member,
-        which applies the quantum symmetrizer Phi and needs no
-        elimination, so its verdict is always definite; the echelon the
-        tests compare it against lives in tests/reference_echelon.py.
+        canonical either way.  The oracle, the only one in the package,
+        is self.oracle.member, which reads the quantum symmetrizer Phi at
+        each block's normal words, so its verdict is always definite; the
+        echelon the tests compare it against is tests/reference_echelon.py.
         Contradictory verdicts mean the engine is broken and raise.
 
         The randomized precheck, which can only reject, runs before the
         oracle unless rewriting has already proved membership: it is the
-        same symmetrizer test at s = 2^j for two drawn j.  The exact
-        oracle then runs on every slice either way, so a rewriting bug
-        still surfaces as a disagreement.
+        same symmetrizer test at s = 2^j for two drawn j.  A reject skips
+        the exact oracle, its nonzero leaf being a proof.  A member passes
+        every precheck, so a rewriting bug still surfaces as a disagreement.
         """
         t0 = time.perf_counter()
         methods = []
@@ -213,7 +212,7 @@ class Verifier(Decider):
         return self.decide("ayb", params, lhs - rhs)
 
     def check_far_commutation(self, m: int, n: int, lam: int, mu: int) -> VerificationReport:
-        if m != n and abs(m - n) < 2:
+        if abs(m - n) < 2:
             raise ValueError("far commutation needs |m - n| >= 2")
         w = SpectralWindow(lam, mu)
         a = qproduct(self.alphabet, "x%d" % m, w)
@@ -253,8 +252,8 @@ class ChiEVerifier(Decider):
         ys = [NcPoly.generator(self.alphabet, "chi%d" % n)
               * NcPoly.generator(self.alphabet, "e%d" % n)
               for n in range(1, self.rank + 1)]
-        chi = serre_braiding(x_alphabet(self.rank))
-        return [self._decide(params, rel) for params, rel in braided_relations(ys, chi)]
+        return [self._decide(params, rel)
+                for params, rel in braided_relations(ys, serre_braiding(self.rank))]
 
 
 def _combined(identity, params, reports, t0, notes=()):

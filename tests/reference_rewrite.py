@@ -24,11 +24,11 @@ from qserre.roots import cartan_matrix, positive_roots
 
 
 def _presentation(name):
-    """(alphabet, braiding) by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
+    """(alphabet, chi) by name: "x3" is x rank 3, "chi-e2" chi-e rank 2."""
     family, rank = name[:-1], int(name[-1])
     if family == "x":
-        return x_alphabet(rank), serre_braiding
-    return chi_e_alphabet(rank), chi_e_braiding
+        return x_alphabet(rank), serre_braiding(rank)
+    return chi_e_alphabet(rank), chi_e_braiding(rank)
 
 
 def raw_rules(name):
@@ -38,8 +38,7 @@ def raw_rules(name):
 
 def roots_of(name):
     """The positive roots of the named presentation's Dynkin diagram."""
-    alphabet, braiding = _presentation(name)
-    return positive_roots(cartan_matrix(braiding(alphabet)))
+    return positive_roots(cartan_matrix(_presentation(name)[1]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from qserre.cli import descending_triples, qq_windows
-from qserre.qfield import ONE, Q, QRat
+from qserre.qfield import ONE, QRat, q_power
 from qserre.freealg import NcPoly, k_element
 from qserre.rewrite import normal_word_counts
 from qserre.series import check_ayb_formal, check_ratio_identity
@@ -18,6 +18,8 @@ from qserre.verify import ChiEVerifier, Verifier
 from pbw_reference import pbw_series
 from reference_echelon import ReferenceOracle, serre_relations
 from reference_rewrite import certified, critical_pair_residuals
+
+Q = q_power(1)
 
 
 @pytest.fixture(scope="module")

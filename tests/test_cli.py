@@ -13,9 +13,11 @@ from qserre.exprparse import ParseError, parse_expression
 from qserre.freealg import (
     NcPoly, SpectralWindow, big_Q, c_element, k_element, qproduct, x_alphabet,
 )
-from qserre.qfield import ONE, Q, QRat
+from qserre.qfield import ONE, QRat, q_power
 from qserre.rewrite import _as_qrat, complete, dump_rules
 from reference_rewrite import LeftmostReducer
+
+Q = q_power(1)
 
 A2 = x_alphabet(2)
 
@@ -637,6 +639,24 @@ def test_unwritable_dump_path_exits_2(tmp_path, capsys):
     path = str(tmp_path / "no-such-dir" / "rules.txt")
     _one_error_line(*run(capsys, "hilbert", "--dump-rules", path),
                     2, "cannot write rules to")
+
+
+def test_an_unwritable_verify_dump_path_exits_2_before_any_check(
+        tmp_path, capsys, monkeypatch):
+    # the certified set does not depend on the checks, so it is written,
+    # or refused, before the first decision
+    from qserre.verify import Decider, Verifier
+    decided, real = [], Decider.decide
+
+    def spy(self, identity, *args):
+        decided.append(identity)
+        return real(self, identity, *args)
+    monkeypatch.setattr(Decider, "decide", spy)
+    monkeypatch.setattr(Verifier, "decide", spy)
+    path = str(tmp_path / "no-such-dir" / "rules.txt")
+    _one_error_line(*run(capsys, "verify", "all", "--rank", "3", "--dump-rules", path),
+                    2, "cannot write rules to")
+    assert decided == []
 
 
 def test_verify_completes_the_x_rules_once(capsys, completions):

@@ -9,7 +9,10 @@ import pytest
 from qserre import exprparse
 from qserre.exprparse import ParseError, parse_expression
 from qserre.freealg import NcPoly, chi_e_alphabet, x_alphabet
-from qserre.qfield import Q, QRat, S, q_power
+from qserre.qfield import QRat, q_power, s_power
+
+Q = q_power(1)
+S = s_power(1)
 
 A2, A3, E2 = x_alphabet(2), x_alphabet(3), chi_e_alphabet(2)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qserre.oracle as oracle_module
-from qserre.qfield import ONE, Q, S, QRat, _pgcd, q_power
+from qserre.qfield import ONE, QRat, _pgcd, q_power, s_power
 from qserre.freealg import (
     NcPoly, chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet,
 )
@@ -22,11 +22,14 @@ from reference_echelon import (
 from reference_phi import full_image_kills
 from reference_rewrite import certified
 
+Q = q_power(1)
+S = s_power(1)
+
 A2 = x_alphabet(2)
 A3 = x_alphabet(3)
 RELS2 = serre_relations(A2)
 RELS3 = serre_relations(A3)
-PHI2 = IdealOracle(A2, serre_braiding)
+PHI2 = IdealOracle(serre_braiding(2))
 
 
 def gens(a):
@@ -186,18 +189,13 @@ def test_stored_rows_are_primitive():
 # -- the oracles under test and their echelon references ------------------------
 
 CE2 = chi_e_alphabet(2)
-BRAIDINGS = (serre_braiding, serre_braiding, chi_e_braiding)
-PHI_ORACLES = (PHI2, IdealOracle(A3, serre_braiding),
-               IdealOracle(CE2, chi_e_braiding))
+BRAIDINGS = (serre_braiding(2), serre_braiding(3), chi_e_braiding(2))
+PHI_ORACLES = (PHI2, IdealOracle(BRAIDINGS[1]), IdealOracle(BRAIDINGS[2]))
 REFERENCES = (ReferenceOracle(A2, RELS2), ReferenceOracle(A3, RELS3),
               ReferenceOracle(CE2, chi_e_relations(CE2)))
 # nonzero at every sample point s = 2^j
 NONVANISHING = (ONE, QRat(-2), Q, QRat(3) * S, q_power(-1))
 COEFFS = NONVANISHING + (ONE + Q, ONE / (ONE - Q), QRat(2, 3) * Q)
-
-
-def _transposed(braiding):
-    return lambda alphabet: tuple(zip(*braiding(alphabet)))
 
 
 def _padded_member(data, ref, max_degree=6):
@@ -279,7 +277,7 @@ def test_precheck_with_the_transposed_braiding_rejects_a_relation(i):
     # mutation control: the precheck reads the braiding, so with chi
     # transposed it rejects a defining relation that it passes with chi
     ref = REFERENCES[i]
-    mutant = IdealOracle(ref.alphabet, _transposed(BRAIDINGS[i]))
+    mutant = IdealOracle(tuple(zip(*BRAIDINGS[i])))
     for rel in ref.relations:
         assert randomized_precheck(rel, PHI_ORACLES[i], 2, 0)
     assert any(not randomized_precheck(rel, mutant, 2, 0)
@@ -333,8 +331,7 @@ def _laurent(vec):
 
 
 BIG = 10 ** 40
-CHI2, CHI3 = serre_braiding(A2), serre_braiding(A3)
-CHIE2 = chi_e_braiding(chi_e_alphabet(2))
+CHI2, CHI3, CHIE2 = BRAIDINGS
 # (vector of integer polynomials in s, lowest power first; its braiding)
 ZERO_TEST_CASES = [
     # the first cubic relation times a huge integer and times s^3
@@ -464,10 +461,10 @@ def test_transposed_braiding_fails_the_agreement(i):
     # the x family it leaves every cubic relation uncancelled; for chi-e the
     # e-braiding is symmetric, so only the chi reordering shows it
     ech = REFERENCES[i]
-    phi = IdealOracle(ech.alphabet, _transposed(BRAIDINGS[i]))
+    phi = IdealOracle(tuple(zip(*BRAIDINGS[i])))
     missed = [r for r in ech.relations if not phi.member(r)]
     assert missed and all(ech.member(r) for r in missed)
-    if BRAIDINGS[i] is serre_braiding:
+    if BRAIDINGS[i] != CHIE2:
         assert missed == [r for r in ech.relations if r.degree == 3]
 
 
@@ -477,7 +474,7 @@ def test_transposed_braiding_fails_the_agreement(i):
 def test_symmetrizer_kills_every_relation(alphabet, relations, braiding):
     # up to eight letters, three bits per packed letter from five letters on
     rels = relations(alphabet)
-    phi = IdealOracle(alphabet, braiding)
+    phi = IdealOracle(braiding(alphabet.families[0][1]))
     assert all(phi.member(r) for r in rels)
     w, c = next(iter(rels[0].terms.items()))  # one word of a relation alone
     assert not phi.member(NcPoly.monomial(alphabet, w, c))
@@ -499,7 +496,7 @@ def test_symmetrizer_image_rank_is_the_quotient_dimension(i, max_degree):
     # quotient dimension, perm count minus the echelon rank of the ideal
     ech = REFERENCES[i]
     n = len(ech.alphabet)
-    chi = BRAIDINGS[i](ech.alphabet)
+    chi = BRAIDINGS[i]
     for degree in range(max_degree + 1):
         for content in _compositions(degree, n):
             image = _Echelon()
@@ -575,16 +572,16 @@ def test_a_dropped_normal_word_lets_a_non_member_pass(monkeypatch):
     x1, x2 = gens(A2)
     p = x1 * x2 - (x2 * x1).scale(Q)
     assert normal_words(good_words(CHI2), (1, 1)) == [(0, 1), (1, 0)]
-    assert not IdealOracle(A2, serre_braiding).member(p)
+    assert not IdealOracle(CHI2).member(p)
     real = oracle_module.normal_words
     monkeypatch.setattr(oracle_module, "normal_words", lambda *args: [
         w for w in real(*args) if w != (1, 0)])
-    assert IdealOracle(A2, serre_braiding).member(p)
+    assert IdealOracle(CHI2).member(p)
 
 
 def test_braiding_tables():
     # chi as s-exponents, chi[u][a]: x-family s^2 on the diagonal and s^-2
     # for (x_{i+1}, x_i); chi-e (chi1, chi2, e1, e2) as in its docstring
-    assert serre_braiding(A3) == ((2, 0, 0), (-2, 2, 0), (0, -2, 2))
-    assert chi_e_braiding(chi_e_alphabet(2)) == (
+    assert serre_braiding(3) == ((2, 0, 0), (-2, 2, 0), (0, -2, 2))
+    assert chi_e_braiding(2) == (
         (0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qserre.qfield import (
-    ONE, Q, QRat, S, ZERO, _normalize, _padd, _pgcd, _pmul, _pneg,
-    q_power, s_power,
+    ONE, QRat, ZERO, _normalize, _padd, _pgcd, _pmul, _pneg, q_power, s_power,
 )
+
+Q = q_power(1)
+S = s_power(1)
 
 
 def at(r, s_value):

@@ -8,9 +8,7 @@ no root.
 
 import pytest
 
-from qserre.freealg import (
-    chi_e_alphabet, chi_e_braiding, serre_braiding, x_alphabet,
-)
+from qserre.freealg import chi_e_braiding, serre_braiding
 from qserre.roots import (
     cartan_matrix, good_words, normal_words, pbw_series, positive_roots,
 )
@@ -21,21 +19,17 @@ from reference_echelon import _compositions
 from reference_rewrite import certified, normal_levels
 
 
-def _x_chi(rank):
-    return serre_braiding(x_alphabet(rank))
-
-
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_positive_roots_are_the_intervals(rank):
-    assert set(positive_roots(cartan_matrix(_x_chi(rank)))) == set(
+    assert set(positive_roots(cartan_matrix(serre_braiding(rank)))) == set(
         interval_roots(rank))
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_pbw_series_and_kostant_counts_are_the_closed_forms(rank):
-    roots = positive_roots(cartan_matrix(_x_chi(rank)))
+    roots = positive_roots(cartan_matrix(serre_braiding(rank)))
     assert pbw_series(roots, 14) == closed_form_series(rank, 14)
-    good, intervals = good_words(_x_chi(rank)), interval_roots(rank)
+    good, intervals = good_words(serre_braiding(rank)), interval_roots(rank)
     for degree in range(7 if rank < 6 else 5):
         for content in _compositions(degree, rank):
             assert len(normal_words(good, content)) == kostant_count(content, intervals)
@@ -44,21 +38,21 @@ def test_pbw_series_and_kostant_counts_are_the_closed_forms(rank):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_chi_e_series_has_the_factor_of_its_chi_letters(rank):
     # the r isolated chi roots contribute (1 - t)^-r beside A_r's series
-    roots = positive_roots(cartan_matrix(chi_e_braiding(chi_e_alphabet(rank))))
+    roots = positive_roots(cartan_matrix(chi_e_braiding(rank)))
     assert pbw_series(roots, 12) == closed_form_series(rank, 12, extra_linear=rank)
     assert pbw_series(roots, 12) != closed_form_series(rank, 12)
 
 
 def test_a_dropped_root_changes_the_series():
     # mutation control: each positive root of A3 shows in the series
-    roots = positive_roots(cartan_matrix(_x_chi(3)))
+    roots = positive_roots(cartan_matrix(serre_braiding(3)))
     for k in range(len(roots)):
         assert pbw_series(roots[:k] + roots[k + 1:], 8) != closed_form_series(3, 8)
 
 
 def test_chi_letters_are_isolated_simple_roots():
     # chi(chi_i, chi_i) = 1 and every chi commutes with every other letter
-    chi = chi_e_braiding(chi_e_alphabet(2))
+    chi = chi_e_braiding(2)
     assert cartan_matrix(chi) == [[2, 0, 0, 0], [0, 2, 0, 0],
                                   [0, 0, 2, -1], [0, 0, -1, 2]]
     assert [w for _, w in good_words(chi)] == [(0,), (1,), (2,), (3, 2), (3,)]
@@ -67,7 +61,7 @@ def test_chi_letters_are_isolated_simple_roots():
 def test_good_words_of_a3():
     # Leclerc's recursion under x1 > x2 > x3: x_j ... x_i for the root
     # alpha_i + ... + alpha_j, largest word first
-    assert [w for _, w in good_words(_x_chi(3))] == [
+    assert [w for _, w in good_words(serre_braiding(3))] == [
         (0,), (1, 0), (1,), (2, 1, 0), (2, 1), (2,)]
 
 
@@ -83,8 +77,8 @@ def test_a_table_off_cartan_type_or_off_finite_type_is_refused():
 
 # the x family at ranks 2-4 and chi-e at rank 2, each with its roots as
 # count vectors built from the closed form alone
-_COUNTED = [(_x_chi(r), interval_roots(r)) for r in (2, 3, 4)] + [
-    (chi_e_braiding(chi_e_alphabet(2)),
+_COUNTED = [(serre_braiding(r), interval_roots(r)) for r in (2, 3, 4)] + [
+    (chi_e_braiding(2),
      [(1, 0, 0, 0), (0, 1, 0, 0)] + [(0, 0) + r for r in interval_roots(2)])]
 
 
@@ -110,7 +104,7 @@ def _reversed_order_words(chi, content):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_normal_words_are_the_rewriting_normal_words(rank):
-    chi, rules = _x_chi(rank), certified("x%d" % rank)
+    chi, rules = serre_braiding(rank), certified("x%d" % rank)
     good = good_words(chi)
     differ = 0
     for degree, level in enumerate(normal_levels(rules, 7)):

@@ -4,13 +4,15 @@ import pytest
 
 import qserre.qfield as qfield_module
 import qserre.verify as verify_module
-from qserre.qfield import ONE, Q, QRat, q_power
+from qserre.qfield import ONE, QRat, q_power
 from qserre.cli import descending_triples, qq_windows
 from qserre.freealg import NcPoly, SpectralWindow, k_element, qproduct, x_alphabet
 from qserre.rewrite import complete, dump_rules
 from qserre.verify import ChiEVerifier, Decider, Verifier
 from reference_echelon import ReferenceOracle, chi_e_relations, serre_relations
 from reference_rewrite import certified
+
+Q = q_power(1)
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +120,9 @@ def test_far_commutation(v3):
     for lam in range(3):
         for mu in range(lam + 1):
             assert v3.check_far_commutation(3, 1, lam, mu).passed
-    assert v3.check_far_commutation(1, 1, 2, 0).passed  # same letter, trivial
-    with pytest.raises(ValueError):
-        v3.check_far_commutation(2, 1, 1, 0)
+    for m, n in ((1, 1), (2, 1)):  # the same letter would pass vacuously
+        with pytest.raises(ValueError, match="needs"):
+            v3.check_far_commutation(m, n, 2, 0)
 
 
 def test_qq_rank2(v2):
@@ -231,6 +233,24 @@ def test_completion_runs_once_for_every_degree(monkeypatch):
     assert [rules.certified_degree for rules in done] == [5]
     assert v.rules is done[0]
     assert dump_rules(done[0]) == dump_rules(certified("x3"))
+
+
+@pytest.mark.parametrize("cls", [Verifier, ChiEVerifier])
+def test_each_decider_builds_its_braiding_once(monkeypatch, cls):
+    # the rules, the oracle and a decide all take the one table self.chi
+    calls = []
+    real = cls.braiding_for
+
+    def spy(rank):
+        calls.append(rank)
+        return real(rank)
+    monkeypatch.setattr(cls, "braiding_for", staticmethod(spy))
+    v = cls(2)
+    letter = NcPoly.generator(v.alphabet, v.alphabet.letters[0])
+    assert v.rules.certified_degree == 3 and v.oracle.member(letter) is False
+    assert not v.decide("probe", (), letter).passed
+    assert calls == [2]
+    assert v.oracle.chi is v.chi
 
 
 def test_chi_e_embedding():
